@@ -1,6 +1,9 @@
 #!/usr/bin/env python
 """Run one WatDiv query (or arbitrary SPARQL) on PRoST.
 
+Prints the Join Tree's nodes, the Spark SQL statement they compile to
+and its parameters, then the result.
+
 Usage::
 
     spark-submit jobs/run_query.py --scale 0.2 --query S3 [--mode vp]
@@ -12,8 +15,10 @@ import argparse
 
 from _session import get_spark
 
+from repro.core.executor import compile_tree
 from repro.core.prost import Prost
 from repro.rdf.watdiv import watdiv
+from repro.sparql.parser import parse
 from repro.sparql.watdiv_queries import QUERIES
 
 
@@ -30,11 +35,15 @@ def main() -> None:
         ap.error("one of --query / --sparql-file is required")
 
     sparql = QUERIES[args.query] if args.query else open(args.sparql_file).read()
+    query = parse(sparql)
     spark = get_spark("prost-query")
     prost = Prost.load(spark, watdiv(spark, scale=args.scale, seed=args.seed))
-    tree = prost.plan(sparql, mode=args.mode)
+    tree = prost.plan(query, mode=args.mode)
     print("join tree nodes (execution order):", tree.node_labels())
-    result = prost.query(sparql, mode=args.mode)
+    statement = compile_tree(prost.store, tree, query)
+    print("SQL statement:", statement.text)
+    print("parameters:", statement.args)
+    result = statement.run(spark)
     print(f"{result.count()} rows")
     result.show(args.show, truncate=False)
     spark.stop()

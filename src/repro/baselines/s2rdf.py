@@ -21,24 +21,26 @@ Deviation from the real system (documented in DESIGN.md): S2RDF runs
 one Spark SQL statement per ExtVP table; we compute all tables of one
 reduction kind in a single self-join and write them as one Parquet
 dataset partitioned by (kind, p1, p2). The resulting tables are
-identical; only the job count differs. A ``per_pair`` loading mode
-reproducing the one-job-per-table behaviour is available for the
-loading benchmark's timing fidelity.
+identical; only the job count differs.
+
+Queries compile through PRoST's statement builder
+(:mod:`repro.core.executor`): the VP and ExtVP datasets are temp views,
+and each pattern's table is one of them narrowed by fixed equalities.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.executor import compile_vp_pattern, join_results, project
+from repro.core.executor import compile_statement, vp_node_sql
 from repro.core.jointree import VPNode, build_join_tree
-from repro.core.loader import build_vp, empty_result
+from repro.core.loader import Relation, build_vp, register_view, vp_relation
 from repro.core.stats import GraphStats
 from repro.rdf.triples import canonicalize, safe_name
-from repro.sparql.algebra import Query, TriplePattern, Variable, is_var
+from repro.sparql.algebra import Query, is_var
 from repro.sparql.parser import parse
 
 #: the reduction kinds S2RDF materialises by default
@@ -71,13 +73,14 @@ class S2RDFStore:
 
     spark: SparkSession
     stats: GraphStats
-    _vp: DataFrame
-    _extvp: DataFrame  # (kind, pred, p2, s, o)
+    #: temp view names of the VP ``(pred, s, o)`` and the ExtVP
+    #: ``(kind, pred, p2, s, o)`` datasets, unique to the store
+    vp_view: str
+    extvp_view: str
     #: (kind, p1, p2) -> row count of that ExtVP table (None = not kept)
     extvp_counts: dict[tuple[str, str, str], int]
     sel_threshold: float
     path: str | None = None
-    _cache: dict = field(default_factory=dict)
 
     @classmethod
     def load(
@@ -128,8 +131,8 @@ class S2RDFStore:
         return cls(
             spark=spark,
             stats=stats,
-            _vp=vp,
-            _extvp=extvp,
+            vp_view=register_view(vp, "s2rdf_vp"),
+            extvp_view=register_view(extvp, "s2rdf_extvp"),
             extvp_counts=counts,
             sel_threshold=sel_threshold,
             path=path,
@@ -137,28 +140,21 @@ class S2RDFStore:
 
     # ------------------------------------------------------------------
     def vp_table(self, predicate: str) -> DataFrame:
-        key = ("vp", predicate)
-        if key not in self._cache:
-            self._cache[key] = self._vp.filter(
-                F.col("pred") == safe_name(predicate)
-            ).select("s", "o")
-        return self._cache[key]
+        return vp_relation(self.vp_view, predicate).rows(self.spark)
 
-    def extvp_table(self, kind: str, p1: str, p2: str) -> DataFrame | None:
+    def extvp_relation(self, kind: str, p1: str, p2: str) -> Relation | None:
         """The materialised ExtVP table, or None if it was not kept."""
         k = (kind, safe_name(p1), safe_name(p2))
         if k not in self.extvp_counts:
             return None
-        if k not in self._cache:
-            self._cache[k] = self._extvp.filter(
-                (F.col("kind") == kind)
-                & (F.col("pred") == k[1])
-                & (F.col("p2") == k[2])
-            ).select("s", "o")
-        return self._cache[k]
+        return Relation(self.extvp_view, tuple(zip(("kind", "pred", "p2"), k)))
+
+    def extvp_table(self, kind: str, p1: str, p2: str) -> DataFrame | None:
+        rel = self.extvp_relation(kind, p1, p2)
+        return None if rel is None else rel.rows(self.spark)
 
     # ------------------------------------------------------------------
-    def _best_table(self, query: Query, i: int) -> DataFrame:
+    def _best_table(self, query: Query, i: int) -> Relation:
         """Smallest applicable ExtVP table for pattern *i*, else VP."""
         tp = query.patterns[i]
         best: tuple[int, str, str] | None = None  # (count, kind, p2)
@@ -177,10 +173,8 @@ class S2RDFStore:
                 if n is not None and (best is None or n < best[0]):
                     best = (n, kind, other.predicate)
         if best is not None:
-            table = self.extvp_table(best[1], tp.predicate, best[2])
-            if table is not None:
-                return table
-        return self.vp_table(tp.predicate)
+            return self.extvp_relation(best[1], tp.predicate, best[2])
+        return vp_relation(self.vp_view, tp.predicate)
 
     def query(self, sparql: str | Query) -> DataFrame:
         """Answer a SPARQL BGP query from the reduced tables.
@@ -193,14 +187,12 @@ class S2RDFStore:
         query.validate()
         tree = build_join_tree(query, self.stats, mode="vp")
         index_of = {id(tp): i for i, tp in enumerate(query.patterns)}
-        parts: list[DataFrame] = []
-        for node in tree.execution_order:
+
+        def node_sql(node, param):
             assert isinstance(node, VPNode)
-            tp = node.pattern
-            if tp.predicate not in self.stats:
-                cols = tuple(node.variables()) or ("__exists__",)
-                parts.append(empty_result(self.spark, cols))
-                continue
-            table = self._best_table(query, index_of[id(tp)])
-            parts.append(compile_vp_pattern(table, tp))
-        return project(join_results(parts), query)
+            rel = self._best_table(query, index_of[id(node.pattern)])
+            return vp_node_sql(rel, node.pattern, param)
+
+        return compile_statement(query, tree.execution_order, self.stats, node_sql).run(
+            self.spark
+        )

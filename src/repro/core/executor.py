@@ -1,149 +1,218 @@
-"""Join Tree execution with Spark SQL DataFrames (paper §3.2).
+"""Join Tree execution as one Spark SQL statement (paper §3.2–3.3).
 
-Each Join Tree node compiles to a DataFrame whose columns are the
-node's variable names; the executor then folds the execution order
-with inner joins on the shared variables (a natural join), letting
-Catalyst produce the physical plans — exactly the division of labour
-the paper describes (§3.3: "Spark intervenes in producing optimized
-physical plans").
+The executor compiles a whole Join Tree into one parameterised Spark
+SQL statement and runs it with a single ``spark.sql`` call, leaving the
+physical plan to Catalyst — exactly the division of labour the paper
+describes (§3.3: "Spark intervenes in producing optimized physical
+plans"):
 
-Patterns binding no variables (fully constant) compile to a 0/1-row
-existence relation and enter the fold as a cross join.
+- a VP node is a subquery over the store's VP view narrowed by
+  ``pred = :p`` (the S2RDF baseline passes its ExtVP view and
+  equality filters instead);
+- a PT node is a subquery over the Property Table view, with one
+  ``LATERAL VIEW explode`` per unbound multi-valued pattern and
+  ``IS NOT NULL``, ``=`` and ``array_contains`` predicates — no joins,
+  the whole point of the PT;
+- the nodes are joined in ``execution_order`` with ``JOIN … USING``
+  their shared variables (``CROSS JOIN`` when they share none), and the
+  outer SELECT applies the projection and DISTINCT.
+
+Every constant is bound as a named parameter, never spliced into the
+text, and every identifier is backtick-quoted. Patterns binding no
+variables (fully constant) compile to a 0/1-row existence relation
+that enters the statement as a cross join.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterable
+
+from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.jointree import JoinTree, Node, PTNode, VPNode, build_join_tree
-from repro.core.loader import ProstStore, empty_result
+from repro.core.loader import ProstStore, Relation, vp_relation
+from repro.core.stats import GraphStats
 from repro.rdf.triples import safe_name
-from repro.sparql.algebra import Query, TriplePattern, Variable, is_const, is_var
+from repro.sparql.algebra import Query, Term, TriplePattern, is_const
 
-#: internal column marking a variable-free pattern's existence result
+#: column of a variable-free node's existence relation
 _EXISTS_COL = "__exists__"
 
 
-class _Binder:
-    """Tracks variable → column bindings while compiling one node."""
+def quote(name: str) -> str:
+    """*name* as a backtick-quoted Spark SQL identifier."""
+    return "`" + name.replace("`", "``") + "`"
+
+
+@dataclass(frozen=True)
+class Statement:
+    """A compiled SQL statement and the values of its named parameters."""
+
+    text: str
+    args: dict[str, str]
+
+    def run(self, spark: SparkSession) -> DataFrame:
+        return spark.sql(self.text, args=self.args)
+
+
+class _Params:
+    """The named parameters of one statement: each call binds a value
+    and returns its marker."""
 
     def __init__(self) -> None:
-        self.bound: dict[str, str] = {}  # var name -> physical column
-        self.filters: list = []  # pyspark Column predicates
+        self.args: dict[str, str] = {}
 
-    def bind(self, var: Variable, column: str) -> None:
-        """First occurrence names the column; repeats become equalities."""
-        if var.name in self.bound:
-            self.filters.append(F.col(self.bound[var.name]) == F.col(column))
+    def __call__(self, value: str) -> str:
+        name = f"c{len(self.args)}"
+        self.args[name] = value
+        return f":{name}"
+
+
+#: builds one node's subquery: (node, params) -> (SQL, output variables)
+NodeSql = Callable[[Node, _Params], tuple[str, list[str]]]
+
+
+class _Select:
+    """One node's subquery under construction: variable → column
+    bindings and WHERE predicates."""
+
+    def __init__(self, param: _Params) -> None:
+        self.param = param
+        self.columns: dict[str, str] = {}  # variable name -> quoted column
+        self.where: list[str] = []
+
+    def match(self, term: Term, column: str) -> None:
+        """A constant becomes an equality parameter; a variable's first
+        occurrence names *column*, repeats become column equalities."""
+        if is_const(term):
+            self.where.append(f"{column} = {self.param(term.value)}")
+        elif term.name in self.columns:
+            self.where.append(f"{column} = {self.columns[term.name]}")
         else:
-            self.bound[var.name] = column
+            self.columns[term.name] = column
+
+    def sql(self, source: str) -> tuple[str, list[str]]:
+        if self.columns:
+            select = ", ".join(f"{c} AS {quote(v)}" for v, c in self.columns.items())
+            limit = ""
+        else:
+            select, limit = f"1 AS {quote(_EXISTS_COL)}", " LIMIT 1"
+        text = f"SELECT {select} FROM {source}"
+        if self.where:
+            text += " WHERE " + " AND ".join(self.where)
+        return text + limit, list(self.columns)
 
 
-def compile_vp_pattern(df: DataFrame, tp: TriplePattern) -> DataFrame:
-    """Compile one triple pattern against its ``(s, o)`` VP table.
+def vp_node_sql(rel: Relation, tp: TriplePattern, param: _Params) -> tuple[str, list[str]]:
+    """One triple pattern over an ``(s, o)`` relation.
 
-    Shared by PRoST's VP nodes and by the S2RDF baseline (which feeds
-    an ExtVP table as *df*).
+    Shared by PRoST's VP nodes and by the S2RDF baseline (which passes
+    an ExtVP relation).
     """
-    b = _Binder()
-    if is_const(tp.s):
-        b.filters.append(F.col("s") == tp.s.value)
-    else:
-        b.bind(tp.s, "s")
-    if is_const(tp.o):
-        b.filters.append(F.col("o") == tp.o.value)
-    else:
-        b.bind(tp.o, "o")
-    for f in b.filters:
-        df = df.filter(f)
-    if not b.bound:
-        return df.limit(1).select(F.lit(1).alias(_EXISTS_COL))
-    return df.select(*[F.col(c).alias(v) for v, c in b.bound.items()])
+    pattern = _Select(param)
+    pattern.where += [f"{quote(c)} = {param(v)}" for c, v in rel.where]
+    pattern.match(tp.s, "`s`")
+    pattern.match(tp.o, "`o`")
+    return pattern.sql(quote(rel.view))
 
 
-def compile_vp_node(store: ProstStore, node: VPNode) -> DataFrame:
-    tp = node.pattern
-    if not store.has_predicate(tp.predicate):
-        cols = tuple(node.variables()) or (_EXISTS_COL,)
-        return empty_result(store.spark, cols)
-    return compile_vp_pattern(store.vp_table(tp.predicate), tp)
+def pt_node_sql(store: ProstStore, node: PTNode, param: _Params) -> tuple[str, list[str]]:
+    """A subject-star group over the Property Table.
 
-
-def compile_pt_node(store: ProstStore, node: PTNode) -> DataFrame:
-    """Compile a subject-star group against the Property Table.
-
-    Selection + (for multi-valued predicates) explodes — no joins, the
-    whole point of the PT. Multi-valued columns are arrays of the
-    subject's *distinct* objects (the graph is a set), so
-    ``array_contains`` is an exact constant-match and nested explodes
-    reproduce the bag product SPARQL semantics requires.
+    Multi-valued columns are arrays of the subject's *distinct* objects
+    (the graph is a set), so ``array_contains`` is an exact constant
+    match and nested explodes reproduce the bag product SPARQL
+    semantics requires.
     """
-    missing = [tp for tp in node.patterns if not store.has_predicate(tp.predicate)]
-    if missing:
-        cols = tuple(node.variables()) or (_EXISTS_COL,)
-        return empty_result(store.spark, cols)
-
-    df = store.property_table
-    b = _Binder()
-
-    first = node.patterns[0]
-    if is_const(first.s):
-        df = df.filter(F.col("s") == first.s.value)
-    else:
-        b.bind(first.s, "s")
-
+    star = _Select(param)
+    star.match(node.patterns[0].s, "`s`")  # every pattern shares it
+    explodes = ""
     for i, tp in enumerate(node.patterns):
-        col = safe_name(tp.predicate)
+        col = quote(safe_name(tp.predicate))
         if store.is_multi_valued(tp.predicate):
             if is_const(tp.o):
-                df = df.filter(F.array_contains(F.col(col), tp.o.value))
+                star.where.append(f"array_contains({col}, {param(tp.o.value)})")
             else:
-                out = f"__x{i}__"
-                df = df.select("*", F.explode(F.col(col)).alias(out))
-                b.bind(tp.o, out)
+                out = quote(f"__x{i}__")
+                explodes += f" LATERAL VIEW explode({col}) AS {out}"
+                star.match(tp.o, out)
         else:
-            df = df.filter(F.col(col).isNotNull())
-            if is_const(tp.o):
-                df = df.filter(F.col(col) == tp.o.value)
-            else:
-                b.bind(tp.o, col)
+            star.where.append(f"{col} IS NOT NULL")
+            star.match(tp.o, col)
+    return star.sql(quote(store.pt_view) + explodes)
 
-    for f in b.filters:
-        df = df.filter(f)
-    if not b.bound:
-        return df.limit(1).select(F.lit(1).alias(_EXISTS_COL))
-    return df.select(*[F.col(c).alias(v) for v, c in b.bound.items()])
+
+def _empty_sql(node: Node) -> tuple[str, list[str]]:
+    """No rows, typed like the node's result: a pattern's predicate is
+    not in the graph (and so has no VP partition or PT column)."""
+    variables = sorted(node.variables())
+    cols = ", ".join(f"CAST(NULL AS STRING) AS {quote(c)}" for c in variables or [_EXISTS_COL])
+    return f"SELECT {cols} WHERE false", variables
+
+
+def _node_sql(stats: GraphStats, node_sql: NodeSql, node: Node, param: _Params):
+    if any(tp.predicate not in stats for tp in node.patterns):
+        return _empty_sql(node)
+    return node_sql(node, param)
+
+
+def compile_statement(
+    query: Query, nodes: Iterable[Node], stats: GraphStats, node_sql: NodeSql
+) -> Statement:
+    """Join the nodes' subqueries, in order, under one outer SELECT.
+
+    The ``USING`` columns are the shared variables in the column order
+    of the relation built so far; that order is the join's shuffle
+    hash key.
+    """
+    param = _Params()
+    parts = [_node_sql(stats, node_sql, n, param) for n in nodes]
+    text = ""
+    cols: list[str] = []  # output variables of the relation built so far
+    for i, (sql, node_cols) in enumerate(parts):
+        rel = f"({sql}) AS `n{i}`"
+        shared = [c for c in cols if c in node_cols]
+        if i == 0:
+            text = rel
+        elif shared:
+            text += f" JOIN {rel} USING ({', '.join(map(quote, shared))})"
+        else:
+            text += f" CROSS JOIN {rel}"
+        cols = shared + [c for c in cols + node_cols if c not in shared]
+    projection = query.projection()
+    if projection:
+        select = ", ".join(map(quote, projection))
+    else:  # no variables: every node is an existence relation
+        exists = (f"`n{i}`.{quote(_EXISTS_COL)}" for i in range(len(parts)))
+        select = f"* EXCEPT ({', '.join(exists)})"
+    distinct = "DISTINCT " if query.distinct else ""
+    return Statement(f"SELECT {distinct}{select} FROM {text}", param.args)
+
+
+def _prost_node_sql(store: ProstStore, node: Node, param: _Params) -> tuple[str, list[str]]:
+    if isinstance(node, VPNode):
+        return vp_node_sql(vp_relation(store.vp_view, node.pattern.predicate), node.pattern, param)
+    return pt_node_sql(store, node, param)
 
 
 def compile_node(store: ProstStore, node: Node) -> DataFrame:
-    if isinstance(node, VPNode):
-        return compile_vp_node(store, node)
-    return compile_pt_node(store, node)
+    """One node's result on its own, from the subquery the statement
+    of its query inlines."""
+    param = _Params()
+    sql, _cols = _node_sql(store.stats, partial(_prost_node_sql, store), node, param)
+    return Statement(sql, param.args).run(store.spark)
 
 
-def join_results(parts: list[DataFrame]) -> DataFrame:
-    """Fold node results with natural inner joins (cross join when the
-    next relation shares no column — disconnected sub-queries)."""
-    result = parts[0]
-    for nxt in parts[1:]:
-        shared = [c for c in result.columns if c in nxt.columns and c != _EXISTS_COL]
-        if shared:
-            result = result.join(nxt, on=shared, how="inner")
-        else:
-            result = result.crossJoin(nxt)
-    drop = [c for c in result.columns if c == _EXISTS_COL]
-    return result.drop(*drop) if drop else result
-
-
-def project(result: DataFrame, query: Query) -> DataFrame:
-    cols = list(query.projection())
-    out = result.select(*cols) if cols else result
-    return out.distinct() if query.distinct else out
+def compile_tree(store: ProstStore, tree: JoinTree, query: Query) -> Statement:
+    """The one SQL statement that answers *query* with *tree*."""
+    return compile_statement(
+        query, tree.execution_order, store.stats, partial(_prost_node_sql, store)
+    )
 
 
 def execute_tree(store: ProstStore, tree: JoinTree, query: Query) -> DataFrame:
-    parts = [compile_node(store, n) for n in tree.execution_order]
-    return project(join_results(parts), query)
+    return compile_tree(store, tree, query).run(store.spark)
 
 
 def execute(store: ProstStore, query: Query, mode: str = "mixed") -> DataFrame:

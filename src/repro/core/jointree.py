@@ -97,8 +97,8 @@ class JoinTree:
     """The planned query: a tree plus its linear execution order.
 
     ``execution_order`` lists the nodes from first-executed (deepest,
-    highest priority) to last (the root). The executor folds over it
-    with inner joins; the ``root`` tree mirrors the same order for
+    highest priority) to last (the root). The executor joins the nodes
+    in this order in one SQL statement; the ``root`` tree mirrors the same order for
     inspection (each node's result joins into its parent).
     """
 

@@ -13,27 +13,51 @@ Mirrors §3.1 of the paper:
   Stored in Parquet — run-length/dictionary encoding absorbs the NULLs,
   exactly the paper's argument for the format — and hash-partitioned
   (repartitioned) on the subject column so each subject's row lives in
-  one partition.
+  one file. Spark sizes the partition count from the data volume
+  (adaptive execution coalesces the shuffle), so a small graph's PT is
+  one file and a large one's is split into files of about 64 MB.
 
 ``ProstStore.load`` either keeps everything as in-memory cached
 DataFrames (``path=None``, used by unit tests) or writes/reads Parquet
 under ``path`` (used by the loading benchmark, so that store size on
-disk is measurable).
+disk is measurable). Either way it registers the VP dataset and the PT
+as temp views under names unique to the store: the executor's SQL
+statements read them by name.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+import uuid
+from dataclasses import dataclass
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.stats import GraphStats
 from repro.rdf.triples import canonicalize, safe_name
-from repro.sparql.algebra import IRI
 
-#: partition count for the subject-hash partitioning of the PT
-PT_SUBJECT_PARTITIONS = 8
+
+@dataclass(frozen=True)
+class Relation:
+    """An ``(s, o)`` relation: a temp view narrowed by fixed
+    ``column = value`` equalities."""
+
+    view: str
+    where: tuple[tuple[str, str], ...]
+
+    def rows(self, spark: SparkSession) -> DataFrame:
+        """The relation's ``(s, o)`` rows."""
+        df = spark.table(self.view)
+        for col, value in self.where:
+            df = df.filter(F.col(col) == value)
+        return df.select("s", "o")
+
+
+def register_view(df: DataFrame, prefix: str) -> str:
+    """Register *df* as a temp view under a fresh name; return the name."""
+    name = f"{prefix}_{uuid.uuid4().hex}"
+    df.createTempView(name)
+    return name
 
 
 def build_vp(triples: DataFrame) -> DataFrame:
@@ -47,6 +71,11 @@ def build_vp(triples: DataFrame) -> DataFrame:
     return triples.select(
         F.regexp_replace("p", "[^A-Za-z0-9_]", "__").alias("pred"), "s", "o"
     )
+
+
+def vp_relation(view: str, predicate: str) -> Relation:
+    """The ``(s, o)`` table of *predicate* in the VP dataset *view*."""
+    return Relation(view, (("pred", safe_name(predicate)),))
 
 
 def build_property_table(
@@ -80,9 +109,10 @@ class ProstStore:
     predicates: list[str]
     _vp: DataFrame
     _pt: DataFrame
+    #: temp view names of the VP dataset and the PT, unique to the store
+    vp_view: str
+    pt_view: str
     path: str | None = None
-    #: per-predicate VP DataFrame cache (partition-pruned selections)
-    _vp_cache: dict[str, DataFrame] = field(default_factory=dict)
 
     @classmethod
     def load(
@@ -114,10 +144,9 @@ class ProstStore:
             pt_path = os.path.join(path, "pt")
             vp.write.partitionBy("pred").mode("overwrite").parquet(vp_path)
             # Horizontal partitioning on the subject column (§3.1): a
-            # hash repartition keeps every subject row in one partition.
-            pt.repartition(PT_SUBJECT_PARTITIONS, F.col("s")).write.mode(
-                "overwrite"
-            ).parquet(pt_path)
+            # hash repartition keeps every subject row in one partition;
+            # with no fixed count, Spark sizes the partitions.
+            pt.repartition(F.col("s")).write.mode("overwrite").parquet(pt_path)
             vp = spark.read.parquet(vp_path)
             pt = spark.read.parquet(pt_path)
         elif cache:
@@ -131,17 +160,15 @@ class ProstStore:
             predicates=predicates,
             _vp=vp,
             _pt=pt,
+            vp_view=register_view(vp, "prost_vp"),
+            pt_view=register_view(pt, "prost_pt"),
             path=path,
         )
 
     # ------------------------------------------------------------------
     def vp_table(self, predicate: str) -> DataFrame:
         """The ``(s, o)`` VP table of *predicate* (empty if unused)."""
-        if predicate not in self._vp_cache:
-            self._vp_cache[predicate] = self._vp.filter(
-                F.col("pred") == safe_name(predicate)
-            ).select("s", "o")
-        return self._vp_cache[predicate]
+        return vp_relation(self.vp_view, predicate).rows(self.spark)
 
     @property
     def property_table(self) -> DataFrame:
@@ -160,24 +187,3 @@ class ProstStore:
             *[x for k, v in rev.items() for x in (F.lit(k), F.lit(v))]
         )
         return self._vp.select("s", mapping[F.col("pred")].alias("p"), "o")
-
-
-def empty_result(spark: SparkSession, columns: tuple[str, ...]) -> DataFrame:
-    """An empty all-string DataFrame with the given columns."""
-    from pyspark.sql import types as T
-
-    schema = T.StructType([T.StructField(c, T.StringType()) for c in columns])
-    return spark.createDataFrame([], schema=schema)
-
-
-def constant_only_result(spark: SparkSession, query_matches: bool) -> DataFrame:
-    """Result of a BGP with no variables: one empty row iff it matched."""
-    from pyspark.sql import types as T
-
-    schema = T.StructType([])
-    rows = [()] if query_matches else []
-    return spark.createDataFrame(rows, schema=schema)
-
-
-def resolve_iri(term: IRI) -> str:
-    return term.value

@@ -12,6 +12,11 @@ from __future__ import annotations
 
 from repro.sparql.algebra import Query, Variable, is_const, is_var
 
+#: the one column the reference selects for a query with no variables:
+#: SQL has no zero-column rows, so each solution (the empty mapping)
+#: becomes a row holding 1 here
+SOLUTION_COLUMN = "__solution__"
+
 
 def _sql_quote(value: str) -> str:
     return "'" + value.replace("'", "''") + "'"
@@ -22,8 +27,9 @@ def bgp_to_sql(query: Query, table: str = "triples") -> str:
 
     Each triple pattern becomes one alias ``t{i}``; constants become
     equality predicates, repeated variables become join predicates, and
-    the projection aliases each selected variable by its name. The SQL
-    is engine-neutral (runs on both DuckDB and Spark SQL).
+    the projection aliases each selected variable by its name (a query
+    with no variables selects :data:`SOLUTION_COLUMN`). The SQL is
+    engine-neutral (runs on both DuckDB and Spark SQL).
     """
     query.validate()
     binding: dict[str, str] = {}  # variable name -> first column that binds it
@@ -41,6 +47,7 @@ def bgp_to_sql(query: Query, table: str = "triples") -> str:
                     binding[term.name] = col
 
     select = ", ".join(f"{binding[v]} AS {v}" for v in query.projection())
+    select = select or f'1 AS "{SOLUTION_COLUMN}"'
     if query.distinct:
         select = "DISTINCT " + select
     from_clause = ", ".join(f"{table} t{i}" for i in range(len(query.patterns)))

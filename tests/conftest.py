@@ -2,7 +2,7 @@
 
 Every Spark-backed store is loaded once per session from the same
 deterministic WatDiv-lite graph (``REPRO_TEST_SCALE``, default 0.2 ≈
-8 K triples), so the ~500 tests run in minutes while still exercising
+8 K triples), so the suite runs in minutes while still exercising
 the shuffle path (broadcast joins are disabled by the root conftest).
 """
 from __future__ import annotations

@@ -1,16 +1,11 @@
-"""Unit tests for node compilation and the join fold."""
+"""Unit tests for node compilation and the statement that joins them."""
 from __future__ import annotations
 
 import pandas as pd
 import pytest
 
-from repro.core.executor import (
-    compile_node,
-    compile_vp_pattern,
-    join_results,
-    project,
-)
-from repro.core.jointree import group_patterns
+from repro.core.executor import compile_node, compile_tree, execute_tree
+from repro.core.jointree import VPNode, build_join_tree, group_patterns
 from repro.core.loader import ProstStore
 from repro.rdf.triples import to_spark
 from repro.sparql.parser import parse
@@ -44,36 +39,46 @@ def pattern(text: str):
     return parse(f"SELECT * WHERE {{ {text} }}").patterns[0]
 
 
+def vp(store, text: str):
+    """One pattern compiled as a VP node."""
+    return compile_node(store, VPNode(pattern(text)))
+
+
+def statement_and_result(store, sparql: str):
+    """The VP-mode statement of *sparql* and the DataFrame it gives."""
+    query = parse(sparql)
+    tree = build_join_tree(query, store.stats, mode="vp")
+    return compile_tree(store, tree, query), execute_tree(store, tree, query)
+
+
 class TestCompileVpPattern:
     def test_two_variables(self, tiny_store):
-        df = compile_vp_pattern(tiny_store.vp_table("wsdbm:likes"), pattern("?a wsdbm:likes ?b ."))
+        df = vp(tiny_store, "?a wsdbm:likes ?b .")
         assert sorted(df.columns) == ["a", "b"]
         assert rows(df.select("a", "b")) == [("u1", "p1"), ("u1", "p2"), ("u2", "p1")]
 
     def test_constant_object(self, tiny_store):
-        df = compile_vp_pattern(tiny_store.vp_table("wsdbm:likes"), pattern("?a wsdbm:likes <p1> ."))
+        df = vp(tiny_store, "?a wsdbm:likes <p1> .")
         assert rows(df) == [("u1",), ("u2",)]
 
     def test_constant_subject(self, tiny_store):
-        df = compile_vp_pattern(tiny_store.vp_table("wsdbm:likes"), pattern("<u1> wsdbm:likes ?b ."))
+        df = vp(tiny_store, "<u1> wsdbm:likes ?b .")
         assert rows(df) == [("p1",), ("p2",)]
 
     def test_literal_object(self, tiny_store):
-        df = compile_vp_pattern(tiny_store.vp_table("foaf:age"), pattern('?a foaf:age "26" .'))
+        df = vp(tiny_store, '?a foaf:age "26" .')
         assert rows(df) == [("u1",), ("u3",)]
 
     def test_repeated_variable(self, tiny_store):
-        df = compile_vp_pattern(
-            tiny_store.vp_table("wsdbm:friendOf"), pattern("?x wsdbm:friendOf ?x .")
-        )
+        df = vp(tiny_store, "?x wsdbm:friendOf ?x .")
         assert rows(df) == [("u2",)]
 
     def test_fully_ground_exists(self, tiny_store):
-        df = compile_vp_pattern(tiny_store.vp_table("wsdbm:likes"), pattern("<u1> wsdbm:likes <p1> ."))
+        df = vp(tiny_store, "<u1> wsdbm:likes <p1> .")
         assert df.count() == 1  # existence row
 
     def test_fully_ground_no_match(self, tiny_store):
-        df = compile_vp_pattern(tiny_store.vp_table("wsdbm:likes"), pattern("<u9> wsdbm:likes <p1> ."))
+        df = vp(tiny_store, "<u9> wsdbm:likes <p1> .")
         assert df.count() == 0
 
 
@@ -119,29 +124,33 @@ class TestCompilePtNode:
 
 class TestJoinAndProject:
     def test_natural_join_on_shared(self, tiny_store):
-        likes = compile_vp_pattern(tiny_store.vp_table("wsdbm:likes"), pattern("?u wsdbm:likes ?p ."))
-        title = compile_vp_pattern(tiny_store.vp_table("og:title"), pattern("?p og:title ?t ."))
-        out = join_results([likes, title])
+        stmt, out = statement_and_result(
+            tiny_store, "SELECT * WHERE { ?u wsdbm:likes ?p . ?p og:title ?t . }"
+        )
+        assert "USING (`p`)" in stmt.text
         assert rows(out.select("u", "p", "t")) == [("u1", "p1", "t1"), ("u2", "p1", "t1")]
 
     def test_cross_join_when_disjoint(self, tiny_store):
-        age = compile_vp_pattern(tiny_store.vp_table("foaf:age"), pattern("?a foaf:age ?x ."))
-        title = compile_vp_pattern(tiny_store.vp_table("og:title"), pattern("?p og:title ?t ."))
-        assert join_results([age, title]).count() == 3 * 1
+        stmt, out = statement_and_result(
+            tiny_store, "SELECT * WHERE { ?a foaf:age ?x . ?p og:title ?t . }"
+        )
+        assert "CROSS JOIN" in stmt.text
+        assert out.count() == 3 * 1
 
     def test_exists_relation_filters(self, tiny_store):
-        exists = compile_vp_pattern(tiny_store.vp_table("wsdbm:likes"), pattern("<u9> wsdbm:likes <p1> ."))
-        age = compile_vp_pattern(tiny_store.vp_table("foaf:age"), pattern("?a foaf:age ?x ."))
-        out = join_results([age, exists])
+        _stmt, out = statement_and_result(
+            tiny_store, "SELECT * WHERE { ?a foaf:age ?x . <u9> wsdbm:likes <p1> . }"
+        )
         assert out.count() == 0 and "__exists__" not in out.columns
 
     def test_project_selects_and_orders(self, tiny_store):
-        likes = compile_vp_pattern(tiny_store.vp_table("wsdbm:likes"), pattern("?u wsdbm:likes ?p ."))
-        q = parse("SELECT ?p ?u WHERE { ?u wsdbm:likes ?p . }")
-        out = project(likes, q)
+        _stmt, out = statement_and_result(
+            tiny_store, "SELECT ?p ?u WHERE { ?u wsdbm:likes ?p . }"
+        )
         assert out.columns == ["p", "u"]
 
     def test_project_distinct(self, tiny_store):
-        likes = compile_vp_pattern(tiny_store.vp_table("wsdbm:likes"), pattern("?u wsdbm:likes ?p ."))
-        q = parse("SELECT DISTINCT ?u WHERE { ?u wsdbm:likes ?p . }")
-        assert project(likes, q).count() == 2
+        _stmt, out = statement_and_result(
+            tiny_store, "SELECT DISTINCT ?u WHERE { ?u wsdbm:likes ?p . }"
+        )
+        assert out.count() == 2

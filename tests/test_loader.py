@@ -6,7 +6,8 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.loader import ProstStore
-from repro.rdf.triples import safe_name
+from repro.core.prost import Prost
+from repro.rdf.triples import safe_name, to_spark
 
 
 class TestVerticalPartitioning:
@@ -119,11 +120,55 @@ class TestPersistence:
             assert store.vp_table(pred).count() == prost.store.vp_table(pred).count()
         assert store.property_table.count() == prost.store.property_table.count()
 
+    def test_subject_rows_in_one_file(self, persisted, triples_pd):
+        """§3.1 subject-hash layout: every subject's PT row lies in
+        exactly one Parquet file."""
+        store, _path = persisted
+        files = store.property_table.select("s", F.input_file_name().alias("file"))
+        per_subject = files.groupBy("s").agg(
+            F.count(F.lit(1)).alias("rows"), F.countDistinct("file").alias("files")
+        )
+        assert per_subject.count() == triples_pd["s"].nunique()
+        assert per_subject.filter("rows != 1 OR files != 1").count() == 0
+
     def test_multi_valued_preserved_after_parquet(self, persisted):
         store, _path = persisted
         assert store.is_multi_valued("wsdbm:likes")
         field = dict(store.property_table.dtypes)[safe_name("wsdbm:likes")]
         assert field.startswith("array")
+
+
+def graph(tag: str) -> pd.DataFrame:
+    """A star of two predicates over subjects named after *tag*."""
+    preds = ("wsdbm:likes", "foaf:age")
+    rows = [(f"{tag}{i}", p, f"{tag}-{p}-{i}") for i in range(3) for p in preds]
+    return pd.DataFrame(rows, columns=["s", "p", "o"])
+
+
+class TestViews:
+    """Each store's SQL reads its own temp views, and no other store's."""
+
+    STAR = "SELECT * WHERE { ?s wsdbm:likes ?l . ?s foaf:age ?a . }"
+
+    def answers(self, prost: Prost) -> set[str]:
+        out = set()
+        for mode in ("mixed", "vp"):
+            out |= {r["s"] for r in prost.query(self.STAR, mode).collect()}
+        return out
+
+    def test_stores_answer_with_their_own_triples(self, spark, tmp_path):
+        one = Prost.load(spark, to_spark(spark, graph("a")))
+        two = Prost.load(spark, to_spark(spark, graph("b")))
+        path = str(tmp_path / "store")
+        first = Prost.load(spark, to_spark(spark, graph("c")), path=path)
+        assert self.answers(first) == {"c0", "c1", "c2"}
+        reloaded = Prost.load(spark, to_spark(spark, graph("d")), path=path)
+        assert self.answers(one) == {"a0", "a1", "a2"}
+        assert self.answers(two) == {"b0", "b1", "b2"}
+        assert self.answers(reloaded) == {"d0", "d1", "d2"}
+        stores = [p.store for p in (one, two, first, reloaded)]
+        views = [v for st in stores for v in (st.vp_view, st.pt_view)]
+        assert len(set(views)) == len(views)
 
 
 class TestStatsWiring:

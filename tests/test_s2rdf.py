@@ -82,13 +82,13 @@ class TestTableChoice:
     def test_best_table_prefers_smaller_reduction(self, s2rdf):
         q = parse(QUERIES["L2"])  # ?v2 likes Product0 . ?v2 nationality ?v1 ...
         i = next(i for i, tp in enumerate(q.patterns) if tp.predicate == "sorg:nationality")
-        table = s2rdf._best_table(q, i)
+        table = s2rdf._best_table(q, i).rows(s2rdf.spark)
         vp_n = s2rdf.vp_table("sorg:nationality").count()
         assert table.count() <= vp_n
 
     def test_best_table_falls_back_to_vp(self, s2rdf):
         q = parse("SELECT ?a ?b WHERE { ?a gn:parentCountry ?b . ?c wsdbm:userId ?d . }")
-        table = s2rdf._best_table(q, 0)  # no shared variable -> VP
+        table = s2rdf._best_table(q, 0).rows(s2rdf.spark)  # no shared variable -> VP
         assert table.count() == s2rdf.vp_table("gn:parentCountry").count()
 
 
