@@ -1,8 +1,10 @@
-"""Shared SparkSession setup for the spark-submit entrypoints.
+"""The one SparkSession setup: the spark-submit entrypoints, the test
+suite's ``spark`` fixture (``conftest.py``) and ``prostbench`` all build
+their session here.
 
-Tests use the ``spark`` fixture from ``conftest.py``; these jobs are
-standalone scripts, so they build an equivalent session themselves
-(same shuffle/broadcast settings, so job runs match test behaviour).
+Only settings that are honoured after the JVM has started belong here
+(master and driver memory are launch arguments). Broadcast joins are
+disabled so that joins exercise the shuffle path at laptop scale.
 """
 from __future__ import annotations
 

@@ -8,6 +8,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import tempfile
 
 from _session import get_spark
 
@@ -24,7 +25,8 @@ def main() -> None:
     args = ap.parse_args()
 
     spark = get_spark("fig2")
-    prost = Prost.load(spark, watdiv(spark, scale=args.scale, seed=args.seed))
+    triples = watdiv(spark, scale=args.scale, seed=args.seed)
+    prost = Prost.load(spark, triples, path=tempfile.mkdtemp(prefix="prost_fig2_"))
     table = vp_vs_mixed(prost, rounds=args.rounds)
     print(format_table(table, "Figure 2 as a table: VP-only vs mixed (seconds)"))
     spark.stop()

@@ -12,6 +12,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import tempfile
 
 from _session import get_spark
 
@@ -37,7 +38,8 @@ def main() -> None:
     sparql = QUERIES[args.query] if args.query else open(args.sparql_file).read()
     query = parse(sparql)
     spark = get_spark("prost-query")
-    prost = Prost.load(spark, watdiv(spark, scale=args.scale, seed=args.seed))
+    triples = watdiv(spark, scale=args.scale, seed=args.seed)
+    prost = Prost.load(spark, triples, path=tempfile.mkdtemp(prefix="prost_query_"))
     tree = prost.plan(query, mode=args.mode)
     print("join tree nodes (execution order):", tree.node_labels())
     statement = compile_tree(prost.store, tree, query)

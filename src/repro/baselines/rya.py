@@ -16,12 +16,12 @@ engine is a deliberate Python binding-at-a-time loop — vectorising it
 would simulate a system Rya is not. Join order uses Rya's simple
 reordering: most-bound patterns first, then smaller predicate extents.
 
-The store persists the three indexes as sorted plain-text key files
-(the laptop-scale stand-in for Accumulo RFiles — row-key storage, one
-full triple per key, no columnar compression), so Table 1 can measure
-size on disk. :meth:`RyaStore.load_distributed` performs the ingest
-with Spark sort + write jobs, mirroring Rya's MapReduce bulk-ingest
-path; plain :meth:`RyaStore.load` sorts on the driver (unit tests).
+:meth:`RyaStore.load_distributed` persists the three indexes as sorted
+plain-text key files (the laptop-scale stand-in for Accumulo RFiles —
+row-key storage, one full triple per key, no columnar compression),
+written by Spark sort + write jobs that mirror Rya's MapReduce
+bulk-ingest path, so Table 1 can measure size on disk. Plain
+:meth:`RyaStore.load` builds only the in-memory indexes on the driver.
 Querying always runs from the in-memory indexes (Accumulo tablets are
 memory/SSD-resident on the region servers).
 """
@@ -113,19 +113,13 @@ class RyaStore:
     last_probes: int = 0
 
     @classmethod
-    def load(cls, triples_pd: pd.DataFrame, *, path: str | None = None) -> "RyaStore":
-        """Sort the graph three ways on the driver; optionally persist
-        each index as a sorted key file (``<name>.keys``)."""
+    def load(cls, triples_pd: pd.DataFrame) -> "RyaStore":
+        """Sort the graph three ways on the driver into the in-memory
+        query indexes."""
         t = triples_pd[["s", "p", "o"]].drop_duplicates().reset_index(drop=True)
         indexes = {name: _Index(t, order) for name, order in INDEX_ORDERS.items()}
-        if path is not None:
-            os.makedirs(path, exist_ok=True)
-            for name, idx in indexes.items():
-                with open(os.path.join(path, f"{name}.keys"), "w") as fh:
-                    fh.write("\n".join(idx.keys))
-                    fh.write("\n")
         counts = t["p"].value_counts().to_dict()
-        return cls(indexes=indexes, pred_counts=counts, path=path)
+        return cls(indexes=indexes, pred_counts=counts)
 
     @classmethod
     def load_distributed(

@@ -37,7 +37,7 @@ from pyspark.sql import functions as F
 
 from repro.core.executor import compile_statement, vp_node_sql
 from repro.core.jointree import VPNode, build_join_tree
-from repro.core.loader import Relation, build_vp, register_view, vp_relation
+from repro.core.loader import Relation, build_vp, register_view, vp_relation, write_and_read
 from repro.core.stats import GraphStats
 from repro.rdf.triples import canonicalize, safe_name
 from repro.sparql.algebra import Query, is_var
@@ -80,7 +80,7 @@ class S2RDFStore:
     #: (kind, p1, p2) -> row count of that ExtVP table (None = not kept)
     extvp_counts: dict[tuple[str, str, str], int]
     sel_threshold: float
-    path: str | None = None
+    path: str
 
     @classmethod
     def load(
@@ -88,23 +88,22 @@ class S2RDFStore:
         spark: SparkSession,
         triples: DataFrame,
         *,
-        path: str | None = None,
+        path: str,
         sel_threshold: float = 1.0,
-        cache: bool = True,
     ) -> "S2RDFStore":
         """Build VP and materialise every ExtVP table whose selectivity
         (|ExtVP| / |VP_p1|) is ≤ ``sel_threshold`` and < 1 (a table as
-        large as its VP gives no benefit, as in S2RDF)."""
+        large as its VP gives no benefit, as in S2RDF). Both datasets
+        are written to Parquet under *path* and read back."""
         triples = canonicalize(triples)
         stats = GraphStats.compute(triples)
-        vp = build_vp(triples)
-        if cache and path is None:
-            vp = vp.cache()
+        vp = write_and_read(build_vp(triples), os.path.join(path, "vp"), "pred")
 
         extvp = None
         for kind in KINDS:
             part = _reduce(vp, kind)
             extvp = part if extvp is None else extvp.unionByName(part)
+        extvp = write_and_read(extvp, os.path.join(path, "extvp"), "kind", "pred", "p2")
 
         counts_rows = (
             extvp.groupBy("kind", "pred", "p2").agg(F.count(F.lit(1)).alias("n")).collect()
@@ -115,18 +114,6 @@ class S2RDFStore:
             vp_n = safe_stats.get(r["pred"], 0)
             if vp_n and r["n"] / vp_n < 1.0 and r["n"] / vp_n <= sel_threshold:
                 counts[(r["kind"], r["pred"], r["p2"])] = r["n"]
-
-        if path is not None:
-            vp_path = os.path.join(path, "vp")
-            ext_path = os.path.join(path, "extvp")
-            vp.write.partitionBy("pred").mode("overwrite").parquet(vp_path)
-            extvp.write.partitionBy("kind", "pred", "p2").mode("overwrite").parquet(
-                ext_path
-            )
-            vp = spark.read.parquet(vp_path)
-            extvp = spark.read.parquet(ext_path)
-        elif cache:
-            extvp = extvp.cache()
 
         return cls(
             spark=spark,

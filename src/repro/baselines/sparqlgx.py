@@ -28,6 +28,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
+from repro.core.loader import build_vp
 from repro.core.stats import GraphStats
 from repro.rdf.triples import canonicalize, safe_name
 from repro.sparql.algebra import Query, TriplePattern, is_const, is_var
@@ -96,10 +97,8 @@ class SparqlGXStore:
         stats = GraphStats.compute(triples)
         data_path = os.path.join(path, "vp_text")
         (
-            triples.select(
-                F.regexp_replace("p", "[^A-Za-z0-9_]", "__").alias("pred"),
-                F.concat_ws(_SEP, "s", "o").alias("value"),
-            )
+            build_vp(triples)
+            .select("pred", F.concat_ws(_SEP, "s", "o").alias("value"))
             .write.partitionBy("pred")
             .mode("overwrite")
             .text(data_path)

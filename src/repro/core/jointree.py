@@ -24,7 +24,7 @@ disconnected queries.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.stats import GraphStats
 from repro.sparql.algebra import Query, TriplePattern, is_const, is_var
@@ -79,30 +79,14 @@ Node = VPNode | PTNode
 
 
 @dataclass
-class TreeNode:
-    """One node of the Join Tree with its child sub-trees."""
-
-    node: Node
-    children: list["TreeNode"] = field(default_factory=list)
-
-    def depth_first(self) -> list[Node]:  # pragma: no cover - debug aid
-        out = [self.node]
-        for c in self.children:
-            out.extend(c.depth_first())
-        return out
-
-
-@dataclass
 class JoinTree:
-    """The planned query: a tree plus its linear execution order.
+    """The planned query: its nodes in execution order.
 
     ``execution_order`` lists the nodes from first-executed (deepest,
     highest priority) to last (the root). The executor joins the nodes
-    in this order in one SQL statement; the ``root`` tree mirrors the same order for
-    inspection (each node's result joins into its parent).
+    in this order in one SQL statement.
     """
 
-    root: TreeNode
     execution_order: list[Node]
     priorities: dict[int, float]  # id(node) -> priority score
 
@@ -172,18 +156,4 @@ def build_join_tree(query: Query, stats: GraphStats, mode: str = "mixed") -> Joi
         remaining.remove(nxt)
         order.append(nxt)
         bound |= nxt.variables()
-
-    # Mirror the linear order as a tree: the last node is the root and
-    # each earlier node hangs off the first later node it shares a
-    # variable with (the join that consumes its result).
-    tree_nodes = {id(n): TreeNode(n) for n in order}
-    root = tree_nodes[id(order[-1])]
-    for i, n in enumerate(order[:-1]):
-        parent = None
-        for later in order[i + 1 :]:
-            if later.variables() & n.variables():
-                parent = tree_nodes[id(later)]
-                break
-        (parent or root).children.append(tree_nodes[id(n)])
-
-    return JoinTree(root=root, execution_order=order, priorities=prio)
+    return JoinTree(execution_order=order, priorities=prio)

@@ -17,12 +17,11 @@ Mirrors §3.1 of the paper:
   (adaptive execution coalesces the shuffle), so a small graph's PT is
   one file and a large one's is split into files of about 64 MB.
 
-``ProstStore.load`` either keeps everything as in-memory cached
-DataFrames (``path=None``, used by unit tests) or writes/reads Parquet
-under ``path`` (used by the loading benchmark, so that store size on
-disk is measurable). Either way it registers the VP dataset and the PT
-as temp views under names unique to the store: the executor's SQL
-statements read them by name.
+``ProstStore.load`` writes both to Parquet under ``path`` and reads
+them back, so queries scan Parquet as the paper's HDFS deployment does
+and the store's size on disk is measurable. It registers the read-back
+VP dataset and PT as temp views under names unique to the store: the
+executor's SQL statements read them by name.
 """
 from __future__ import annotations
 
@@ -65,7 +64,8 @@ def build_vp(triples: DataFrame) -> DataFrame:
 
     Kept as a single DataFrame; :meth:`ProstStore.vp_table` selects one
     predicate, which under Parquet partitioning is a partition-pruned
-    read of exactly that predicate's table.
+    read of exactly that predicate's table. The S2RDF and SPARQLGX
+    baselines partition their stores by the same ``pred`` column.
     """
     # native equivalent of safe_name(): every unsafe char becomes "__"
     return triples.select(
@@ -96,7 +96,20 @@ def build_property_table(
         # lacks predicate p and the collected list is empty
         col = lst if p in multi_valued else F.try_element_at(lst, F.lit(1))
         aggs.append(col.alias(safe_name(p)))
+    if not aggs:  # no predicates (an empty graph): subjects only
+        return triples.select("s").distinct()
     return triples.groupBy("s").agg(*aggs)
+
+
+def write_and_read(df: DataFrame, path: str, *partition_by: str) -> DataFrame:
+    """Write *df* to Parquet at *path* and read it back.
+
+    The read-back takes the schema *df* was written with, so a dataset
+    with no rows (an empty partitioned write leaves no data files for
+    Spark to infer a schema from) reads back as an empty, typed table.
+    """
+    df.write.partitionBy(*partition_by).mode("overwrite").parquet(path)
+    return df.sparkSession.read.schema(df.schema).parquet(path)
 
 
 @dataclass
@@ -107,59 +120,33 @@ class ProstStore:
     stats: GraphStats
     multi_valued: set[str]
     predicates: list[str]
-    _vp: DataFrame
-    _pt: DataFrame
     #: temp view names of the VP dataset and the PT, unique to the store
     vp_view: str
     pt_view: str
-    path: str | None = None
+    path: str
 
     @classmethod
-    def load(
-        cls,
-        spark: SparkSession,
-        triples: DataFrame,
-        *,
-        path: str | None = None,
-        cache: bool = True,
-    ) -> "ProstStore":
-        """Build the store from a triple DataFrame.
-
-        With ``path`` set, VP and PT are written to
-        ``{path}/vp`` / ``{path}/pt`` in Parquet and read back, so
-        subsequent queries scan Parquet exactly as the paper's HDFS
-        deployment does. With ``path=None`` the DataFrames are cached
-        in memory (fast unit tests).
-        """
+    def load(cls, spark: SparkSession, triples: DataFrame, *, path: str) -> "ProstStore":
+        """Build the store from a triple DataFrame: VP and PT are
+        written to ``{path}/vp`` and ``{path}/pt`` in Parquet and read
+        back, and queries scan the read-back tables."""
         triples = canonicalize(triples)
         stats = GraphStats.compute(triples)
         predicates = stats.predicates()
         multi = stats.multi_valued()
 
-        vp = build_vp(triples)
-        pt = build_property_table(triples, predicates, multi)
-
-        if path is not None:
-            vp_path = os.path.join(path, "vp")
-            pt_path = os.path.join(path, "pt")
-            vp.write.partitionBy("pred").mode("overwrite").parquet(vp_path)
-            # Horizontal partitioning on the subject column (§3.1): a
-            # hash repartition keeps every subject row in one partition;
-            # with no fixed count, Spark sizes the partitions.
-            pt.repartition(F.col("s")).write.mode("overwrite").parquet(pt_path)
-            vp = spark.read.parquet(vp_path)
-            pt = spark.read.parquet(pt_path)
-        elif cache:
-            vp = vp.cache()
-            pt = pt.cache()
+        vp = write_and_read(build_vp(triples), os.path.join(path, "vp"), "pred")
+        # Horizontal partitioning on the subject column (§3.1): a hash
+        # repartition keeps every subject row in one partition; with no
+        # fixed count, Spark sizes the partitions.
+        pt = build_property_table(triples, predicates, multi).repartition(F.col("s"))
+        pt = write_and_read(pt, os.path.join(path, "pt"))
 
         return cls(
             spark=spark,
             stats=stats,
             multi_valued=multi,
             predicates=predicates,
-            _vp=vp,
-            _pt=pt,
             vp_view=register_view(vp, "prost_vp"),
             pt_view=register_view(pt, "prost_pt"),
             path=path,
@@ -172,7 +159,7 @@ class ProstStore:
 
     @property
     def property_table(self) -> DataFrame:
-        return self._pt
+        return self.spark.table(self.pt_view)
 
     def is_multi_valued(self, predicate: str) -> bool:
         return predicate in self.multi_valued
@@ -186,4 +173,5 @@ class ProstStore:
         mapping = F.create_map(
             *[x for k, v in rev.items() for x in (F.lit(k), F.lit(v))]
         )
-        return self._vp.select("s", mapping[F.col("pred")].alias("p"), "o")
+        vp = self.spark.table(self.vp_view)
+        return vp.select("s", mapping[F.col("pred")].alias("p"), "o")

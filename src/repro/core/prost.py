@@ -24,15 +24,9 @@ class Prost:
     store: ProstStore
 
     @classmethod
-    def load(
-        cls,
-        spark: SparkSession,
-        triples: DataFrame,
-        *,
-        path: str | None = None,
-        cache: bool = True,
-    ) -> "Prost":
-        return cls(ProstStore.load(spark, triples, path=path, cache=cache))
+    def load(cls, spark: SparkSession, triples: DataFrame, *, path: str) -> "Prost":
+        """Load *triples* into a PRoST store persisted under *path*."""
+        return cls(ProstStore.load(spark, triples, path=path))
 
     def plan(self, sparql: str | Query, mode: str = "mixed") -> JoinTree:
         """The Join Tree PRoST would execute for *sparql*."""

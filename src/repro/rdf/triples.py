@@ -42,8 +42,3 @@ def to_spark(spark: SparkSession, triples_pd: pd.DataFrame) -> DataFrame:
 def canonicalize(triples: DataFrame) -> DataFrame:
     """Project to the canonical column order and drop duplicate triples."""
     return triples.select("s", "p", "o").dropDuplicates(["s", "p", "o"])
-
-
-def predicates(triples: DataFrame) -> list[str]:
-    """The distinct predicates of the graph, sorted for determinism."""
-    return sorted(r["p"] for r in triples.select("p").distinct().collect())

@@ -2,8 +2,10 @@
 
 Every Spark-backed store is loaded once per session from the same
 deterministic WatDiv-lite graph (``REPRO_TEST_SCALE``, default 0.2 ≈
-8 K triples), so the suite runs in minutes while still exercising
-the shuffle path (broadcast joins are disabled by the root conftest).
+8 K triples) into a pytest temp directory, so the suite runs in minutes
+on the same on-disk layout the jobs and the benchmark query, while
+still exercising the shuffle path (``jobs/_session.py`` disables
+broadcast joins).
 """
 from __future__ import annotations
 
@@ -31,17 +33,17 @@ def triples(spark, triples_pd):
 
 
 @pytest.fixture(scope="session")
-def prost(spark, triples):
+def prost(spark, triples, tmp_path_factory):
     from repro.core.prost import Prost
 
-    return Prost.load(spark, triples)
+    return Prost.load(spark, triples, path=str(tmp_path_factory.mktemp("prost")))
 
 
 @pytest.fixture(scope="session")
-def s2rdf(spark, triples):
+def s2rdf(spark, triples, tmp_path_factory):
     from repro.baselines.s2rdf import S2RDFStore
 
-    return S2RDFStore.load(spark, triples)
+    return S2RDFStore.load(spark, triples, path=str(tmp_path_factory.mktemp("s2rdf")))
 
 
 @pytest.fixture(scope="session")

@@ -27,8 +27,9 @@ TINY = pd.DataFrame(
 
 
 @pytest.fixture(scope="module")
-def tiny_store(spark):
-    return ProstStore.load(spark, to_spark(spark, TINY))
+def tiny_store(spark, tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("tiny_store"))
+    return ProstStore.load(spark, to_spark(spark, TINY), path=path)
 
 
 def rows(df):

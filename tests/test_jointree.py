@@ -123,14 +123,6 @@ class TestTreeConstruction:
             tree.priority_of(n) for n in tree.execution_order
         )
 
-    def test_root_is_last_executed(self, graph_stats):
-        tree = build_join_tree(q(QUERIES["F5"]), graph_stats, "mixed")
-        assert tree.root.node is tree.execution_order[-1]
-
-    def test_tree_spans_all_nodes(self, graph_stats):
-        tree = build_join_tree(q(QUERIES["C2"]), graph_stats, "mixed")
-        assert len(tree.root.depth_first()) == len(tree.execution_order)
-
     def test_literal_node_executed_before_free_nodes(self, graph_stats):
         """§3.3: push literal-constrained nodes down (execute early).
         L1 mixed = PT(subscribes Website0, likes) + free VP(caption)."""

@@ -1,11 +1,11 @@
 """Tests for the PRoST loading phase: VP tables + Property Table."""
 from __future__ import annotations
 
+import os
+
 import pandas as pd
-import pytest
 from pyspark.sql import functions as F
 
-from repro.core.loader import ProstStore
 from repro.core.prost import Prost
 from repro.rdf.triples import safe_name, to_spark
 
@@ -94,36 +94,26 @@ class TestPropertyTable:
 
 
 class TestPersistence:
-    @pytest.fixture(scope="class")
-    def persisted(self, spark, triples, tmp_path_factory):
-        path = str(tmp_path_factory.mktemp("prost_store"))
-        store = ProstStore.load(spark, triples, path=path)
-        return store, path
-
-    def test_writes_vp_and_pt_dirs(self, persisted):
-        import os
-
-        _store, path = persisted
+    def test_writes_vp_and_pt_dirs(self, prost):
+        path = prost.store.path
         assert os.path.isdir(os.path.join(path, "vp"))
         assert os.path.isdir(os.path.join(path, "pt"))
 
-    def test_vp_partitioned_by_predicate(self, persisted):
-        import os
-
-        _store, path = persisted
-        parts = os.listdir(os.path.join(path, "vp"))
+    def test_vp_partitioned_by_predicate(self, prost):
+        parts = os.listdir(os.path.join(prost.store.path, "vp"))
         assert any(p.startswith("pred=") for p in parts)
 
-    def test_persisted_store_answers_match_memory(self, persisted, prost, triples_pd):
-        store, _path = persisted
+    def test_persisted_store_answers_match_memory(self, prost, triples_pd):
+        """The read-back tables hold exactly the input graph's rows."""
+        store = prost.store
         for pred in ("wsdbm:likes", "rdf:type", "gr:includes"):
-            assert store.vp_table(pred).count() == prost.store.vp_table(pred).count()
-        assert store.property_table.count() == prost.store.property_table.count()
+            assert store.vp_table(pred).count() == (triples_pd["p"] == pred).sum()
+        assert store.property_table.count() == triples_pd["s"].nunique()
 
-    def test_subject_rows_in_one_file(self, persisted, triples_pd):
+    def test_subject_rows_in_one_file(self, prost, triples_pd):
         """§3.1 subject-hash layout: every subject's PT row lies in
         exactly one Parquet file."""
-        store, _path = persisted
+        store = prost.store
         files = store.property_table.select("s", F.input_file_name().alias("file"))
         per_subject = files.groupBy("s").agg(
             F.count(F.lit(1)).alias("rows"), F.countDistinct("file").alias("files")
@@ -131,8 +121,8 @@ class TestPersistence:
         assert per_subject.count() == triples_pd["s"].nunique()
         assert per_subject.filter("rows != 1 OR files != 1").count() == 0
 
-    def test_multi_valued_preserved_after_parquet(self, persisted):
-        store, _path = persisted
+    def test_multi_valued_preserved_after_parquet(self, prost):
+        store = prost.store
         assert store.is_multi_valued("wsdbm:likes")
         field = dict(store.property_table.dtypes)[safe_name("wsdbm:likes")]
         assert field.startswith("array")
@@ -157,8 +147,8 @@ class TestViews:
         return out
 
     def test_stores_answer_with_their_own_triples(self, spark, tmp_path):
-        one = Prost.load(spark, to_spark(spark, graph("a")))
-        two = Prost.load(spark, to_spark(spark, graph("b")))
+        one = Prost.load(spark, to_spark(spark, graph("a")), path=str(tmp_path / "a"))
+        two = Prost.load(spark, to_spark(spark, graph("b")), path=str(tmp_path / "b"))
         path = str(tmp_path / "store")
         first = Prost.load(spark, to_spark(spark, graph("c")), path=path)
         assert self.answers(first) == {"c0", "c1", "c2"}

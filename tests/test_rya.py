@@ -164,28 +164,24 @@ def test_f4_oracle_at_scale_one():
 
 
 class TestPersistence:
-    def test_indexes_written_as_sorted_key_files(self, tmp_path):
-        RyaStore.load(TINY, path=str(tmp_path))
-        files = sorted(f.name for f in tmp_path.iterdir())
-        assert files == ["osp.keys", "pos.keys", "spo.keys"]
-        lines = (tmp_path / "spo.keys").read_text().splitlines()
-        assert len(lines) == len(TINY)
-        assert lines == sorted(lines)
-        assert all(len(line.split("\x1f")) == 3 for line in lines)
-
     def test_distributed_ingest_matches_driver_load(self, spark, tmp_path):
+        """The bulk ingest writes each index as one sorted key file
+        holding one line per triple, the same keys the driver builds."""
         from repro.rdf.triples import to_spark
 
         store = RyaStore.load_distributed(
             spark, to_spark(spark, TINY), TINY, path=str(tmp_path)
         )
         assert store.pred_counts == {"likes": 3, "age": 2, "title": 1}
-        spo_dir = tmp_path / "spo"
-        lines = []
-        for f in sorted(spo_dir.iterdir()):
-            if not f.name.startswith(("_", ".")):
-                lines += f.read_text().splitlines()
-        assert sorted(lines) == sorted(store.indexes["spo"].keys)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["osp", "pos", "spo"]
+        for name in INDEX_ORDERS:
+            lines = []
+            for f in sorted((tmp_path / name).iterdir()):
+                if not f.name.startswith(("_", ".")):
+                    lines += f.read_text().splitlines()
+            assert len(lines) == len(TINY)
+            assert lines == sorted(lines) == sorted(store.indexes[name].keys)
+            assert all(len(line.split("\x1f")) == 3 for line in lines)
 
     def test_pred_counts(self, tiny):
         assert tiny.pred_counts == {"likes": 3, "age": 2, "title": 1}

@@ -70,8 +70,8 @@ class TestExtVPTables:
     def test_self_pairs_excluded(self, s2rdf):
         assert all(p1 != p2 for (_k, p1, p2) in s2rdf.extvp_counts)
 
-    def test_threshold_filters_tables(self, spark, triples):
-        tight = S2RDFStore.load(spark, triples, sel_threshold=0.05, cache=False)
+    def test_threshold_filters_tables(self, spark, triples, tmp_path):
+        tight = S2RDFStore.load(spark, triples, path=str(tmp_path), sel_threshold=0.05)
         safe_n = {safe_name(p): st.n_triples for p, st in tight.stats.by_predicate.items()}
         assert tight.extvp_counts, "some highly selective pair should survive"
         for (_k, p1s, _p2s), n in tight.extvp_counts.items():

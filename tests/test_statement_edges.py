@@ -110,13 +110,15 @@ def graph() -> pd.DataFrame:
 
 
 @pytest.fixture(scope="module")
-def prost(spark, graph):
-    return Prost.load(spark, to_spark(spark, graph))
+def prost(spark, graph, tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("edges_prost"))
+    return Prost.load(spark, to_spark(spark, graph), path=path)
 
 
 @pytest.fixture(scope="module")
-def engines(spark, graph, prost):
-    s2rdf = S2RDFStore.load(spark, to_spark(spark, graph))
+def engines(spark, graph, prost, tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("edges_s2rdf"))
+    s2rdf = S2RDFStore.load(spark, to_spark(spark, graph), path=path)
     return {
         "mixed": lambda q: prost.query(q, mode="mixed"),
         "vp": lambda q: prost.query(q, mode="vp"),
