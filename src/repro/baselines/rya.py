@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
-from repro.sparql.algebra import Query, TriplePattern, is_const, is_var
+from repro.sparql.algebra import Query, TriplePattern, is_const
 from repro.sparql.parser import parse
 
 _SEP = "\x1f"

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.stats import GraphStats
-from repro.sparql.algebra import Query, TriplePattern, is_const, is_var
+from repro.sparql.algebra import Query, TriplePattern, is_const
 
 #: priority bonus per literal-bearing pattern (dominates any size term)
 LITERAL_BONUS = 1e12

@@ -10,7 +10,7 @@ shows up as a row diff.
 """
 from __future__ import annotations
 
-from repro.sparql.algebra import Query, Variable, is_const, is_var
+from repro.sparql.algebra import Query, Variable, is_const
 
 #: the one column the reference selects for a query with no variables:
 #: SQL has no zero-column rows, so each solution (the empty mapping)

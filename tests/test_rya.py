@@ -1,7 +1,6 @@
 """Tests for the Rya baseline: sorted indexes, range scans, NLJ engine."""
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 import pytest
 

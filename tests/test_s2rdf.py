@@ -6,7 +6,7 @@ import pytest
 
 from repro.baselines.s2rdf import S2RDFStore
 from repro.oracle import assert_equivalent
-from repro.rdf.triples import safe_name, to_spark
+from repro.rdf.triples import safe_name
 from repro.sparql.parser import parse
 from repro.sparql.reference import bgp_to_sql
 from repro.sparql.watdiv_queries import QUERIES

@@ -1,7 +1,7 @@
 """Tests for the loading-phase statistics (paper §3.3)."""
 from __future__ import annotations
 
-from repro.core.stats import GraphStats, PredicateStats
+from repro.core.stats import PredicateStats
 
 
 class TestAgainstPandas:

@@ -1,7 +1,6 @@
 """Tests for the WatDiv-lite generator (pure pandas — no Spark)."""
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.rdf.watdiv import (
