@@ -163,24 +163,40 @@ def test_f4_oracle_at_scale_one():
 
 
 class TestPersistence:
-    def test_distributed_ingest_matches_driver_load(self, spark, tmp_path):
+    @staticmethod
+    def _key_lines(directory):
+        lines = []
+        for f in sorted(directory.iterdir()):
+            if not f.name.startswith(("_", ".")):
+                lines += f.read_text().splitlines()
+        return lines
+
+    def test_indexes_written_as_sorted_key_files(self, spark, tmp_path):
         """The bulk ingest writes each index as one sorted key file
-        holding one line per triple, the same keys the driver builds."""
+        holding one line per triple."""
+        from repro.rdf.triples import to_spark
+
+        RyaStore.load_distributed(
+            spark, to_spark(spark, TINY), TINY, path=str(tmp_path)
+        )
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["osp", "pos", "spo"]
+        for name in INDEX_ORDERS:
+            lines = self._key_lines(tmp_path / name)
+            assert len(lines) == len(TINY)
+            assert lines == sorted(lines)
+            assert all(len(line.split("\x1f")) == 3 for line in lines)
+
+    def test_distributed_ingest_matches_driver_load(self, spark, tmp_path):
+        """The key files hold the same keys the driver builds."""
         from repro.rdf.triples import to_spark
 
         store = RyaStore.load_distributed(
             spark, to_spark(spark, TINY), TINY, path=str(tmp_path)
         )
         assert store.pred_counts == {"likes": 3, "age": 2, "title": 1}
-        assert sorted(f.name for f in tmp_path.iterdir()) == ["osp", "pos", "spo"]
         for name in INDEX_ORDERS:
-            lines = []
-            for f in sorted((tmp_path / name).iterdir()):
-                if not f.name.startswith(("_", ".")):
-                    lines += f.read_text().splitlines()
-            assert len(lines) == len(TINY)
-            assert lines == sorted(lines) == sorted(store.indexes[name].keys)
-            assert all(len(line.split("\x1f")) == 3 for line in lines)
+            lines = self._key_lines(tmp_path / name)
+            assert sorted(lines) == sorted(store.indexes[name].keys)
 
     def test_pred_counts(self, tiny):
         assert tiny.pred_counts == {"likes": 3, "age": 2, "title": 1}
