@@ -24,12 +24,13 @@ def main() -> None:
     ap.add_argument("--rounds", type=int, default=1)
     args = ap.parse_args()
 
-    spark = get_spark("fig2")
-    triples = watdiv(spark, scale=args.scale, seed=args.seed)
-    prost = Prost.load(spark, triples, path=tempfile.mkdtemp(prefix="prost_fig2_"))
-    table = vp_vs_mixed(prost, rounds=args.rounds)
-    print(format_table(table, "Figure 2 as a table: VP-only vs mixed (seconds)"))
-    spark.stop()
+    with tempfile.TemporaryDirectory(prefix="prost_fig2_") as path:
+        spark = get_spark("fig2")
+        triples = watdiv(spark, scale=args.scale, seed=args.seed)
+        prost = Prost.load(spark, triples, path=path)
+        table = vp_vs_mixed(prost, rounds=args.rounds)
+        print(format_table(table, "Figure 2 as a table: VP-only vs mixed (seconds)"))
+        spark.stop()
 
 
 if __name__ == "__main__":

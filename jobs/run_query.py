@@ -1,8 +1,10 @@
 #!/usr/bin/env python
 """Run one WatDiv query (or arbitrary SPARQL) on PRoST.
 
-Prints the Join Tree's nodes, the Spark SQL statement they compile to
-and its parameters, then the result.
+Prints the Join Tree's nodes, the Spark SQL statement they compile to,
+its parameters and the predicate dictionary entries it uses (the store
+names every predicate ``p<i>``), then the result. The store lives in a
+temporary directory removed on exit.
 
 Usage::
 
@@ -37,18 +39,22 @@ def main() -> None:
 
     sparql = QUERIES[args.query] if args.query else open(args.sparql_file).read()
     query = parse(sparql)
-    spark = get_spark("prost-query")
-    triples = watdiv(spark, scale=args.scale, seed=args.seed)
-    prost = Prost.load(spark, triples, path=tempfile.mkdtemp(prefix="prost_query_"))
-    tree = prost.plan(query, mode=args.mode)
-    print("join tree nodes (execution order):", tree.node_labels())
-    statement = compile_tree(prost.store, tree, query)
-    print("SQL statement:", statement.text)
-    print("parameters:", statement.args)
-    result = statement.run(spark)
-    print(f"{result.count()} rows")
-    result.show(args.show, truncate=False)
-    spark.stop()
+    with tempfile.TemporaryDirectory(prefix="prost_query_") as path:
+        spark = get_spark("prost-query")
+        triples = watdiv(spark, scale=args.scale, seed=args.seed)
+        prost = Prost.load(spark, triples, path=path)
+        tree = prost.plan(query, mode=args.mode)
+        print("join tree nodes (execution order):", tree.node_labels())
+        statement = compile_tree(prost.store, tree, query)
+        print("SQL statement:", statement.text)
+        print("parameters:", statement.args)
+        stats = prost.store.stats
+        used = sorted({tp.predicate for tp in query.patterns if tp.predicate in stats})
+        print("predicate dictionary:", ", ".join(f"{stats.column(p)} = {p}" for p in used))
+        result = statement.run(spark)
+        print(f"{result.count()} rows")
+        result.show(args.show, truncate=False)
+        spark.stop()
 
 
 if __name__ == "__main__":

@@ -26,22 +26,23 @@ def main() -> None:
     ap.add_argument("--out-dir", default=None)
     args = ap.parse_args()
 
-    spark = get_spark("table1")
-    tpd = watdiv_pandas(scale=args.scale, seed=args.seed)
-    triples = to_spark(spark, tpd)
-    base = args.out_dir or tempfile.mkdtemp(prefix="prost_table1_")
-    systems = load_all_systems(spark, triples, tpd, base)
-    rows = [
-        {
-            "System": name,
-            "Size (MB)": round(ls.size_bytes / 1e6, 2),
-            "Time (s)": round(ls.load_seconds, 1),
-        }
-        for name, ls in systems.items()
-    ]
-    print(f"WatDiv-lite scale={args.scale}: {len(tpd)} triples")
-    print(format_table(pd.DataFrame(rows), "Table 1: size and loading time"))
-    spark.stop()
+    # without --out-dir the stores go to a temporary directory removed on exit
+    with tempfile.TemporaryDirectory(prefix="prost_table1_") as tmp:
+        spark = get_spark("table1")
+        tpd = watdiv_pandas(scale=args.scale, seed=args.seed)
+        triples = to_spark(spark, tpd)
+        systems = load_all_systems(spark, triples, tpd, args.out_dir or tmp)
+        rows = [
+            {
+                "System": name,
+                "Size (MB)": round(ls.size_bytes / 1e6, 2),
+                "Time (s)": round(ls.load_seconds, 1),
+            }
+            for name, ls in systems.items()
+        ]
+        print(f"WatDiv-lite scale={args.scale}: {len(tpd)} triples")
+        print(format_table(pd.DataFrame(rows), "Table 1: size and loading time"))
+        spark.stop()
 
 
 if __name__ == "__main__":

@@ -30,22 +30,22 @@ def main() -> None:
     ap.add_argument("--rounds", type=int, default=1)
     args = ap.parse_args()
 
-    spark = get_spark("table2")
-    tpd = watdiv_pandas(scale=args.scale, seed=args.seed)
-    triples = to_spark(spark, tpd)
-    base = tempfile.mkdtemp(prefix="prost_table2_")
-    systems = load_all_systems(spark, triples, tpd, base)
+    with tempfile.TemporaryDirectory(prefix="prost_table2_") as base:
+        spark = get_spark("table2")
+        tpd = watdiv_pandas(scale=args.scale, seed=args.seed)
+        triples = to_spark(spark, tpd)
+        systems = load_all_systems(spark, triples, tpd, base)
 
-    per_query = query_times(systems, rounds=args.rounds)
-    print(format_table(per_query, "Per-query times in seconds (Figure 3 data)"))
-    print(format_table(group_averages(per_query), "Table 2: average ms per group"))
-    print(
-        format_table(
-            rya_probe_counts(systems["Rya"].store),
-            "Rya index probes per query (scale-free cost metric)",
+        per_query = query_times(systems, rounds=args.rounds)
+        print(format_table(per_query, "Per-query times in seconds (Figure 3 data)"))
+        print(format_table(group_averages(per_query), "Table 2: average ms per group"))
+        print(
+            format_table(
+                rya_probe_counts(systems["Rya"].store),
+                "Rya index probes per query (scale-free cost metric)",
+            )
         )
-    )
-    spark.stop()
+        spark.stop()
 
 
 if __name__ == "__main__":

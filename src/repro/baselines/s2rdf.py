@@ -39,7 +39,7 @@ from repro.core.executor import compile_statement, vp_node_sql
 from repro.core.jointree import VPNode, build_join_tree
 from repro.core.loader import Relation, build_vp, register_view, vp_relation, write_and_read
 from repro.core.stats import GraphStats
-from repro.rdf.triples import canonicalize, safe_name
+from repro.rdf.triples import canonicalize
 from repro.sparql.algebra import Query, is_var
 from repro.sparql.parser import parse
 
@@ -77,7 +77,7 @@ class S2RDFStore:
     #: ``(kind, pred, p2, s, o)`` datasets, unique to the store
     vp_view: str
     extvp_view: str
-    #: (kind, p1, p2) -> row count of that ExtVP table (None = not kept)
+    #: (kind, p1 IRI, p2 IRI) -> row count of that ExtVP table (absent = not kept)
     extvp_counts: dict[tuple[str, str, str], int]
     sel_threshold: float
     path: str
@@ -97,7 +97,7 @@ class S2RDFStore:
         are written to Parquet under *path* and read back."""
         triples = canonicalize(triples)
         stats = GraphStats.compute(triples)
-        vp = write_and_read(build_vp(triples), os.path.join(path, "vp"), "pred")
+        vp = write_and_read(build_vp(triples, stats), os.path.join(path, "vp"), "pred")
 
         extvp = None
         for kind in KINDS:
@@ -105,15 +105,12 @@ class S2RDFStore:
             extvp = part if extvp is None else extvp.unionByName(part)
         extvp = write_and_read(extvp, os.path.join(path, "extvp"), "kind", "pred", "p2")
 
-        counts_rows = (
-            extvp.groupBy("kind", "pred", "p2").agg(F.count(F.lit(1)).alias("n")).collect()
-        )
-        safe_stats = {safe_name(p): st.n_triples for p, st in stats.by_predicate.items()}
         counts: dict[tuple[str, str, str], int] = {}
-        for r in counts_rows:
-            vp_n = safe_stats.get(r["pred"], 0)
-            if vp_n and r["n"] / vp_n < 1.0 and r["n"] / vp_n <= sel_threshold:
-                counts[(r["kind"], r["pred"], r["p2"])] = r["n"]
+        for r in extvp.groupBy("kind", "pred", "p2").count().collect():
+            p1, p2 = stats.predicate_of[r["pred"]], stats.predicate_of[r["p2"]]
+            selectivity = r["count"] / stats.n_triples(p1)
+            if selectivity < 1.0 and selectivity <= sel_threshold:
+                counts[(r["kind"], p1, p2)] = r["count"]
 
         return cls(
             spark=spark,
@@ -127,14 +124,14 @@ class S2RDFStore:
 
     # ------------------------------------------------------------------
     def vp_table(self, predicate: str) -> DataFrame:
-        return vp_relation(self.vp_view, predicate).rows(self.spark)
+        return vp_relation(self.vp_view, self.stats, predicate).rows(self.spark)
 
     def extvp_relation(self, kind: str, p1: str, p2: str) -> Relation | None:
         """The materialised ExtVP table, or None if it was not kept."""
-        k = (kind, safe_name(p1), safe_name(p2))
-        if k not in self.extvp_counts:
+        if (kind, p1, p2) not in self.extvp_counts:
             return None
-        return Relation(self.extvp_view, tuple(zip(("kind", "pred", "p2"), k)))
+        col = self.stats.column
+        return Relation(self.extvp_view, (("kind", kind), ("pred", col(p1)), ("p2", col(p2))))
 
     def extvp_table(self, kind: str, p1: str, p2: str) -> DataFrame | None:
         rel = self.extvp_relation(kind, p1, p2)
@@ -155,13 +152,12 @@ class S2RDFStore:
             ):
                 if not (is_var(a) and is_var(b) and a.name == b.name):
                     continue
-                key = (kind, safe_name(tp.predicate), safe_name(other.predicate))
-                n = self.extvp_counts.get(key)
+                n = self.extvp_counts.get((kind, tp.predicate, other.predicate))
                 if n is not None and (best is None or n < best[0]):
                     best = (n, kind, other.predicate)
         if best is not None:
             return self.extvp_relation(best[1], tp.predicate, best[2])
-        return vp_relation(self.vp_view, tp.predicate)
+        return vp_relation(self.vp_view, self.stats, tp.predicate)
 
     def query(self, sparql: str | Query) -> DataFrame:
         """Answer a SPARQL BGP query from the reduced tables.

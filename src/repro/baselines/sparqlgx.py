@@ -30,7 +30,7 @@ from pyspark.sql import types as T
 
 from repro.core.loader import build_vp
 from repro.core.stats import GraphStats
-from repro.rdf.triples import canonicalize, safe_name
+from repro.rdf.triples import canonicalize
 from repro.sparql.algebra import Query, TriplePattern, is_const, is_var
 from repro.sparql.parser import parse
 
@@ -90,14 +90,15 @@ class SparqlGXStore:
     def load(
         cls, spark: SparkSession, triples: DataFrame, *, path: str
     ) -> "SparqlGXStore":
-        """Write one text partition per predicate (``pred=<safe>/...``)
-        and collect the same load-time statistics the real system keeps
-        for its join-ordering heuristic."""
+        """Write one text partition per predicate (``pred=p<i>/...``,
+        named by the predicate dictionary) and collect the same
+        load-time statistics the real system keeps for its
+        join-ordering heuristic."""
         triples = canonicalize(triples)
         stats = GraphStats.compute(triples)
         data_path = os.path.join(path, "vp_text")
         (
-            build_vp(triples)
+            build_vp(triples, stats)
             .select("pred", F.concat_ws(_SEP, "s", "o").alias("value"))
             .write.partitionBy("pred")
             .mode("overwrite")
@@ -136,10 +137,10 @@ class SparqlGXStore:
         result = None
         result_vars: set[str] = set()
         for tp in self._order(query):
-            pred_path = os.path.join(self.path, f"pred={safe_name(tp.predicate)}")
-            if not os.path.isdir(pred_path):
+            if tp.predicate not in self.stats:
                 rdd = sc.parallelize([])  # predicate absent from the graph
             else:
+                pred_path = os.path.join(self.path, f"pred={self.stats.column(tp.predicate)}")
                 rdd = _pattern_rdd(sc, pred_path, tp)
             tp_vars = set(tp.variables())
             if not tp_vars:

@@ -33,7 +33,6 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.jointree import JoinTree, Node, PTNode, VPNode, build_join_tree
 from repro.core.loader import ProstStore, Relation, vp_relation
 from repro.core.stats import GraphStats
-from repro.rdf.triples import safe_name
 from repro.sparql.algebra import Query, Term, TriplePattern, is_const
 
 #: column of a variable-free node's existence relation
@@ -129,7 +128,7 @@ def pt_node_sql(store: ProstStore, node: PTNode, param: _Params) -> tuple[str, l
     star.match(node.patterns[0].s, "`s`")  # every pattern shares it
     explodes = ""
     for i, tp in enumerate(node.patterns):
-        col = quote(safe_name(tp.predicate))
+        col = quote(store.stats.column(tp.predicate))
         if store.is_multi_valued(tp.predicate):
             if is_const(tp.o):
                 star.where.append(f"array_contains({col}, {param(tp.o.value)})")
@@ -192,7 +191,8 @@ def compile_statement(
 
 def _prost_node_sql(store: ProstStore, node: Node, param: _Params) -> tuple[str, list[str]]:
     if isinstance(node, VPNode):
-        return vp_node_sql(vp_relation(store.vp_view, node.pattern.predicate), node.pattern, param)
+        rel = vp_relation(store.vp_view, store.stats, node.pattern.predicate)
+        return vp_node_sql(rel, node.pattern, param)
     return pt_node_sql(store, node, param)
 
 

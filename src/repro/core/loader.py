@@ -4,10 +4,11 @@ Mirrors §3.1 of the paper:
 
 - **Vertical Partitioning**: one ``(s, o)`` table per distinct
   predicate. Persisted as one Parquet dataset partitioned by the
-  (column-safe) predicate name, which is the DataFrame-API equivalent
-  of a directory of per-predicate tables.
+  predicate's dictionary name (``pred=p<i>``, see
+  :meth:`repro.core.stats.GraphStats.column`), which is the
+  DataFrame-API equivalent of a directory of per-predicate tables.
 - **Property Table**: one row per distinct subject; one column per
-  predicate, named by :func:`repro.rdf.triples.safe_name`. Multi-valued
+  predicate, named ``p<i>`` by the same dictionary. Multi-valued
   predicates (detected from the statistics) become ``array<string>``
   columns; single-valued ones are plain strings, NULL where absent.
   Stored in Parquet — run-length/dictionary encoding absorbs the NULLs,
@@ -29,11 +30,11 @@ import os
 import uuid
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.stats import GraphStats
-from repro.rdf.triples import canonicalize, safe_name
+from repro.rdf.triples import canonicalize
 
 
 @dataclass(frozen=True)
@@ -59,28 +60,31 @@ def register_view(df: DataFrame, prefix: str) -> str:
     return name
 
 
-def build_vp(triples: DataFrame) -> DataFrame:
-    """The VP dataset: ``(pred, s, o)`` with a column-safe ``pred``.
+def literal_map(mapping: dict[str, str]) -> Column:
+    """*mapping* as a ``map<string,string>`` literal (typed even when
+    empty, so an empty graph's lookups still resolve)."""
+    pairs = (F.lit(x) for kv in mapping.items() for x in kv)
+    return F.create_map(*pairs).cast("map<string,string>")
+
+
+def build_vp(triples: DataFrame, stats: GraphStats) -> DataFrame:
+    """The VP dataset: ``(pred, s, o)``, ``pred`` the dictionary name of ``p``.
 
     Kept as a single DataFrame; :meth:`ProstStore.vp_table` selects one
     predicate, which under Parquet partitioning is a partition-pruned
     read of exactly that predicate's table. The S2RDF and SPARQLGX
     baselines partition their stores by the same ``pred`` column.
     """
-    # native equivalent of safe_name(): every unsafe char becomes "__"
-    return triples.select(
-        F.regexp_replace("p", "[^A-Za-z0-9_]", "__").alias("pred"), "s", "o"
-    )
+    return triples.select(literal_map(stats.columns)[F.col("p")].alias("pred"), "s", "o")
 
 
-def vp_relation(view: str, predicate: str) -> Relation:
-    """The ``(s, o)`` table of *predicate* in the VP dataset *view*."""
-    return Relation(view, (("pred", safe_name(predicate)),))
+def vp_relation(view: str, stats: GraphStats, predicate: str) -> Relation:
+    """The ``(s, o)`` table of *predicate* in the VP dataset *view*; no
+    rows if the graph lacks it (no partition is named ``""``)."""
+    return Relation(view, (("pred", stats.columns.get(predicate, "")),))
 
 
-def build_property_table(
-    triples: DataFrame, predicates: list[str], multi_valued: set[str]
-) -> DataFrame:
+def build_property_table(triples: DataFrame, stats: GraphStats) -> DataFrame:
     """One ``groupBy(s)`` aggregation building the whole wide table.
 
     For each predicate *p* the aggregate collects the objects of *p*
@@ -90,12 +94,13 @@ def build_property_table(
     (NULL when the subject lacks *p*).
     """
     aggs = []
-    for p in predicates:
+    multi_valued = stats.multi_valued()
+    for p in stats.predicates():
         lst = F.collect_list(F.when(F.col("p") == p, F.col("o")))
         # try_element_at: NULL (not an ANSI error) when the subject
         # lacks predicate p and the collected list is empty
         col = lst if p in multi_valued else F.try_element_at(lst, F.lit(1))
-        aggs.append(col.alias(safe_name(p)))
+        aggs.append(col.alias(stats.column(p)))
     if not aggs:  # no predicates (an empty graph): subjects only
         return triples.select("s").distinct()
     return triples.groupBy("s").agg(*aggs)
@@ -119,7 +124,6 @@ class ProstStore:
     spark: SparkSession
     stats: GraphStats
     multi_valued: set[str]
-    predicates: list[str]
     #: temp view names of the VP dataset and the PT, unique to the store
     vp_view: str
     pt_view: str
@@ -132,21 +136,18 @@ class ProstStore:
         back, and queries scan the read-back tables."""
         triples = canonicalize(triples)
         stats = GraphStats.compute(triples)
-        predicates = stats.predicates()
-        multi = stats.multi_valued()
 
-        vp = write_and_read(build_vp(triples), os.path.join(path, "vp"), "pred")
+        vp = write_and_read(build_vp(triples, stats), os.path.join(path, "vp"), "pred")
         # Horizontal partitioning on the subject column (§3.1): a hash
         # repartition keeps every subject row in one partition; with no
         # fixed count, Spark sizes the partitions.
-        pt = build_property_table(triples, predicates, multi).repartition(F.col("s"))
+        pt = build_property_table(triples, stats).repartition(F.col("s"))
         pt = write_and_read(pt, os.path.join(path, "pt"))
 
         return cls(
             spark=spark,
             stats=stats,
-            multi_valued=multi,
-            predicates=predicates,
+            multi_valued=stats.multi_valued(),
             vp_view=register_view(vp, "prost_vp"),
             pt_view=register_view(pt, "prost_pt"),
             path=path,
@@ -155,7 +156,7 @@ class ProstStore:
     # ------------------------------------------------------------------
     def vp_table(self, predicate: str) -> DataFrame:
         """The ``(s, o)`` VP table of *predicate* (empty if unused)."""
-        return vp_relation(self.vp_view, predicate).rows(self.spark)
+        return vp_relation(self.vp_view, self.stats, predicate).rows(self.spark)
 
     @property
     def property_table(self) -> DataFrame:
@@ -164,14 +165,7 @@ class ProstStore:
     def is_multi_valued(self, predicate: str) -> bool:
         return predicate in self.multi_valued
 
-    def has_predicate(self, predicate: str) -> bool:
-        return predicate in self.stats
-
     def triples_back(self) -> DataFrame:
         """Reconstruct the triple table from VP (test/round-trip helper)."""
-        rev = {safe_name(p): p for p in self.predicates}
-        mapping = F.create_map(
-            *[x for k, v in rev.items() for x in (F.lit(k), F.lit(v))]
-        )
-        vp = self.spark.table(self.vp_view)
-        return vp.select("s", mapping[F.col("pred")].alias("p"), "o")
+        pred = literal_map(self.stats.predicate_of)[F.col("pred")]
+        return self.spark.table(self.vp_view).select("s", pred.alias("p"), "o")

@@ -8,8 +8,6 @@ any RDF store does.
 """
 from __future__ import annotations
 
-import re
-
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
@@ -21,18 +19,6 @@ TRIPLE_SCHEMA = T.StructType(
         T.StructField("o", T.StringType(), False),
     ]
 )
-
-_UNSAFE = re.compile(r"[^A-Za-z0-9_]")
-
-
-def safe_name(predicate: str) -> str:
-    """Column/directory-safe encoding of a predicate IRI.
-
-    ``wsdbm:likes`` → ``wsdbm__likes``; bijective over the WatDiv
-    vocabulary (no predicate contains ``__`` or other punctuation).
-    """
-    return _UNSAFE.sub("__", predicate)
-
 
 def to_spark(spark: SparkSession, triples_pd: pd.DataFrame) -> DataFrame:
     """Lift a pandas ``(s,p,o)`` frame to Spark with the canonical schema."""

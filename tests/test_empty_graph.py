@@ -1,13 +1,22 @@
-"""The empty graph: every engine loads it and answers with no rows.
+"""Degenerate graphs: every engine loads them and answers like the oracle.
 
-PRoST (mixed and VP-only), S2RDF, SPARQLGX and Rya each load a graph
-with no triples, then answer a star (a PT node in mixed mode) and a
-chain with zero rows under the projected, string-typed columns. Each
-answer is diffed against the DuckDB reference through ``oracle.py``.
+Two graphs, each with its own queries:
+
+- ``empty``: no triples. A star (a PT node in mixed mode) and a chain
+  answer zero rows under the projected, string-typed columns.
+- ``colliding``: predicate IRIs that no punctuation-to-``_`` rewrite
+  or case-insensitive column lookup can keep apart (``x-y``/``x.y``/
+  ``x__y``, ``Name``/``name``), a predicate ``<s>`` named like the
+  Property Table's subject column, a full ``http://…#`` IRI, and
+  multi-valued stars over them.
+
+PRoST (mixed and VP-only), S2RDF, SPARQLGX and Rya each answer every
+query, diffed against the DuckDB reference through ``oracle.py``.
 """
 from __future__ import annotations
 
 import pandas as pd
+import pytest
 
 from repro.baselines.rya import RyaStore
 from repro.baselines.s2rdf import S2RDFStore
@@ -18,17 +27,57 @@ from repro.rdf.triples import to_spark
 from repro.sparql.parser import parse
 from repro.sparql.reference import bgp_to_sql
 
-QUERIES = [
+EMPTY = pd.DataFrame({c: pd.Series(dtype=str) for c in ("s", "p", "o")})
+EMPTY_QUERIES = [
     "SELECT ?s ?a ?b WHERE { ?s wsdbm:likes ?a . ?s foaf:age ?b . }",
     "SELECT ?a ?c WHERE { ?a wsdbm:friendOf ?b . ?b wsdbm:likes ?c . }",
 ]
 
+FULL = "http://other.example/ns#p"
+COLLIDING = pd.DataFrame(
+    [
+        ("a", "ex:x-y", "1"),
+        ("a", "ex:x-y", "6"),  # multi-valued
+        ("b", "ex:x-y", "2"),
+        ("a", "ex:x.y", "3"),
+        ("c", "ex:x.y", "4"),
+        ("a", "ex:x__y", "5"),
+        ("a", "ex:Name", "Ann"),
+        ("a", "ex:name", "ann"),
+        ("b", "ex:name", "bob"),
+        ("b", "ex:name", "Bob"),  # multi-valued
+        ("b", "ex:Name", "Bob"),
+        ("a", "s", "self-a"),
+        ("c", "s", "self-c"),
+        ("a", FULL, "c"),
+        ("b", FULL, "a"),
+    ],
+    columns=["s", "p", "o"],
+)
+PREFIX = "PREFIX ex: <http://example.org/> "
+COLLIDING_QUERIES = [
+    PREFIX + "SELECT ?s ?o WHERE { ?s ex:x-y ?o . }",
+    PREFIX + "SELECT * WHERE { ?s ex:x-y ?a . ?s ex:x.y ?b . ?s ex:x__y ?c . }",
+    PREFIX + "SELECT * WHERE { ?s ex:x-y ?a . ?s ex:x.y ?b . }",
+    PREFIX + "SELECT ?s ?a ?b WHERE { ?s ex:Name ?a . ?s ex:name ?b . }",
+    PREFIX + 'SELECT ?s WHERE { ?s ex:x-y "6" . ?s ex:name "ann" . }',
+    PREFIX + f"SELECT * WHERE {{ ?x <s> ?v . ?x <{FULL}> ?y . ?y ex:x-y ?z . }}",
+    PREFIX + f"SELECT ?x ?y WHERE {{ ?x <{FULL}> ?y . ?y <s> ?v . }}",
+]
 
-def test_empty_graph_loads_and_answers_nothing(spark, tmp_path):
-    graph = pd.DataFrame({c: pd.Series(dtype=str) for c in ("s", "p", "o")})
+
+@pytest.mark.parametrize(
+    "graph,queries",
+    [
+        pytest.param(EMPTY, EMPTY_QUERIES, id="empty"),
+        pytest.param(COLLIDING, COLLIDING_QUERIES, id="colliding"),
+    ],
+)
+def test_graph_loads_and_matches_oracle(spark, tmp_path, graph, queries):
     triples = to_spark(spark, graph)
     prost = Prost.load(spark, triples, path=str(tmp_path / "prost"))
-    assert prost.store.property_table.columns == ["s"]
+    pt_columns = ["s"] + [prost.store.stats.column(p) for p in sorted(graph["p"].unique())]
+    assert prost.store.property_table.columns == pt_columns
     spark_engines = {
         "mixed": lambda q: prost.query(q, mode="mixed"),
         "vp": lambda q: prost.query(q, mode="vp"),
@@ -36,7 +85,7 @@ def test_empty_graph_loads_and_answers_nothing(spark, tmp_path):
         "sparqlgx": SparqlGXStore.load(spark, triples, path=str(tmp_path / "gx")).query,
     }
     rya = RyaStore.load(graph)
-    for sparql in QUERIES:
+    for sparql in queries:
         query = parse(sparql)
         reference = bgp_to_sql(query)
         columns = list(query.projection())
@@ -45,5 +94,7 @@ def test_empty_graph_loads_and_answers_nothing(spark, tmp_path):
             assert out.dtypes == [(c, "string") for c in columns], name
             assert_equivalent(out, reference, triples=graph)
         out = rya.query(query)
-        assert list(out.columns) == columns and out.empty
+        assert list(out.columns) == columns
         assert_equivalent_pd(out, reference, triples=graph)
+        if graph.empty:
+            assert out.empty

@@ -7,7 +7,12 @@ import pandas as pd
 from pyspark.sql import functions as F
 
 from repro.core.prost import Prost
-from repro.rdf.triples import safe_name, to_spark
+from repro.rdf.triples import to_spark
+
+
+def column(prost: Prost, predicate: str) -> str:
+    """The store name (PT column) of *predicate* in the predicate dictionary."""
+    return prost.store.stats.column(predicate)
 
 
 class TestVerticalPartitioning:
@@ -44,26 +49,27 @@ class TestPropertyTable:
 
     def test_one_column_per_predicate_plus_subject(self, prost):
         pt = prost.store.property_table
-        assert set(pt.columns) == {"s"} | {safe_name(p) for p in prost.store.predicates}
+        preds = prost.store.stats.predicates()
+        assert pt.columns == ["s"] + [column(prost, p) for p in preds]
 
     def test_single_valued_column_values(self, prost, triples_pd):
-        pt = prost.store.property_table.select("s", safe_name("gn:parentCountry")).toPandas()
+        pt = prost.store.property_table.select("s", column(prost, "gn:parentCountry")).toPandas()
         exp = triples_pd[triples_pd["p"] == "gn:parentCountry"].set_index("s")["o"]
-        got = pt.set_index("s")[safe_name("gn:parentCountry")].dropna()
+        got = pt.set_index("s")[column(prost, "gn:parentCountry")].dropna()
         assert got.to_dict() == exp.to_dict()
 
     def test_single_valued_null_where_absent(self, prost, triples_pd):
-        pt = prost.store.property_table.select("s", safe_name("gn:parentCountry")).toPandas()
+        pt = prost.store.property_table.select("s", column(prost, "gn:parentCountry")).toPandas()
         subjects_with = set(triples_pd[triples_pd["p"] == "gn:parentCountry"]["s"])
         absent = pt[~pt["s"].isin(subjects_with)]
-        assert absent[safe_name("gn:parentCountry")].isna().all()
+        assert absent[column(prost, "gn:parentCountry")].isna().all()
 
     def test_multi_valued_column_is_array(self, prost):
-        field = dict(prost.store.property_table.dtypes)[safe_name("wsdbm:likes")]
+        field = dict(prost.store.property_table.dtypes)[column(prost, "wsdbm:likes")]
         assert field.startswith("array")
 
     def test_multi_valued_contents_match(self, prost, triples_pd):
-        col = safe_name("wsdbm:likes")
+        col = column(prost, "wsdbm:likes")
         pt = prost.store.property_table.select("s", col).toPandas()
         exp = (
             triples_pd[triples_pd["p"] == "wsdbm:likes"]
@@ -79,7 +85,7 @@ class TestPropertyTable:
         assert got == exp
 
     def test_multi_valued_empty_for_absent_subject(self, prost, triples_pd):
-        col = safe_name("wsdbm:likes")
+        col = column(prost, "wsdbm:likes")
         pt = prost.store.property_table.select("s", col).toPandas()
         with_likes = set(triples_pd[triples_pd["p"] == "wsdbm:likes"]["s"])
         absent = pt[~pt["s"].isin(with_likes)]
@@ -88,7 +94,7 @@ class TestPropertyTable:
     def test_nulls_are_plentiful(self, prost):
         """The paper's motivation for Parquet: the PT is NULL-heavy."""
         pt = prost.store.property_table
-        col = safe_name("gn:parentCountry")  # only cities carry it
+        col = column(prost, "gn:parentCountry")  # only cities carry it
         n_null = pt.filter(F.col(col).isNull()).count()
         assert n_null > pt.count() * 0.5
 
@@ -124,7 +130,7 @@ class TestPersistence:
     def test_multi_valued_preserved_after_parquet(self, prost):
         store = prost.store
         assert store.is_multi_valued("wsdbm:likes")
-        field = dict(store.property_table.dtypes)[safe_name("wsdbm:likes")]
+        field = dict(store.property_table.dtypes)[column(prost, "wsdbm:likes")]
         assert field.startswith("array")
 
 
@@ -163,12 +169,12 @@ class TestViews:
 
 class TestStatsWiring:
     def test_predicates_sorted_and_complete(self, prost, triples_pd):
-        assert prost.store.predicates == sorted(triples_pd["p"].unique())
+        assert prost.store.stats.predicates() == sorted(triples_pd["p"].unique())
 
     def test_multi_valued_wired_from_stats(self, prost):
         assert prost.store.is_multi_valued("wsdbm:friendOf")
         assert not prost.store.is_multi_valued("wsdbm:userId")
 
     def test_has_predicate(self, prost):
-        assert prost.store.has_predicate("wsdbm:likes")
-        assert not prost.store.has_predicate("nope:never")
+        assert "wsdbm:likes" in prost.store.stats
+        assert "nope:never" not in prost.store.stats

@@ -6,7 +6,6 @@ import pytest
 
 from repro.baselines.s2rdf import S2RDFStore
 from repro.oracle import assert_equivalent
-from repro.rdf.triples import safe_name
 from repro.sparql.parser import parse
 from repro.sparql.reference import bgp_to_sql
 from repro.sparql.watdiv_queries import QUERIES
@@ -56,26 +55,23 @@ class TestExtVPTables:
         )
 
     def test_counts_match_tables(self, s2rdf):
-        for (kind, p1s, p2s), n in list(s2rdf.extvp_counts.items())[:10]:
-            rev = {safe_name(p): p for p in s2rdf.stats.by_predicate}
-            table = s2rdf.extvp_table(kind, rev[p1s], rev[p2s])
+        for (kind, p1, p2), n in list(s2rdf.extvp_counts.items())[:10]:
+            table = s2rdf.extvp_table(kind, p1, p2)
             assert table is not None and table.count() == n
 
     def test_reductions_smaller_than_vp(self, s2rdf):
         """Every kept ExtVP table is strictly smaller than its VP."""
-        safe_n = {safe_name(p): st.n_triples for p, st in s2rdf.stats.by_predicate.items()}
-        for (kind, p1s, _p2s), n in s2rdf.extvp_counts.items():
-            assert n < safe_n[p1s]
+        for (kind, p1, _p2), n in s2rdf.extvp_counts.items():
+            assert n < s2rdf.stats.n_triples(p1)
 
     def test_self_pairs_excluded(self, s2rdf):
         assert all(p1 != p2 for (_k, p1, p2) in s2rdf.extvp_counts)
 
     def test_threshold_filters_tables(self, spark, triples, tmp_path):
         tight = S2RDFStore.load(spark, triples, path=str(tmp_path), sel_threshold=0.05)
-        safe_n = {safe_name(p): st.n_triples for p, st in tight.stats.by_predicate.items()}
         assert tight.extvp_counts, "some highly selective pair should survive"
-        for (_k, p1s, _p2s), n in tight.extvp_counts.items():
-            assert n / safe_n[p1s] <= 0.05
+        for (_k, p1, _p2), n in tight.extvp_counts.items():
+            assert n / tight.stats.n_triples(p1) <= 0.05
 
 
 class TestTableChoice:

@@ -6,7 +6,6 @@ import os
 import pytest
 
 from repro.oracle import assert_equivalent
-from repro.rdf.triples import safe_name
 from repro.sparql.parser import parse
 from repro.sparql.reference import bgp_to_sql
 from repro.sparql.watdiv_queries import QUERIES
@@ -15,11 +14,12 @@ from repro.sparql.watdiv_queries import QUERIES
 class TestStorage:
     def test_one_text_partition_per_predicate(self, sparqlgx, triples_pd):
         dirs = {d for d in os.listdir(sparqlgx.path) if d.startswith("pred=")}
-        expected = {f"pred={safe_name(p)}" for p in triples_pd["p"].unique()}
+        column = sparqlgx.stats.column
+        expected = {f"pred={column(p)}" for p in triples_pd["p"].unique()}
         assert dirs == expected
 
     def test_files_are_plain_text(self, sparqlgx):
-        pred_dir = os.path.join(sparqlgx.path, f"pred={safe_name('gn:parentCountry')}")
+        pred_dir = os.path.join(sparqlgx.path, f"pred={sparqlgx.stats.column('gn:parentCountry')}")
         files = [f for f in os.listdir(pred_dir) if not f.startswith(("_", "."))]
         line = open(os.path.join(pred_dir, files[0])).readline().rstrip("\n")
         s, o = line.split("\t")
@@ -27,7 +27,7 @@ class TestStorage:
 
     def test_line_counts_match(self, sparqlgx, triples_pd):
         pred = "gn:parentCountry"
-        pred_dir = os.path.join(sparqlgx.path, f"pred={safe_name(pred)}")
+        pred_dir = os.path.join(sparqlgx.path, f"pred={sparqlgx.stats.column(pred)}")
         n_lines = 0
         for f in os.listdir(pred_dir):
             if f.startswith(("_", ".")):

@@ -169,5 +169,5 @@ def test_constants_are_parameters(prost):
             constants = {
                 t.value for tp in query.patterns for t in (tp.s, tp.o) if is_const(t)
             }
-            if all(prost.store.has_predicate(tp.predicate) for tp in query.patterns):
+            if all(tp.predicate in prost.store.stats for tp in query.patterns):
                 assert constants <= set(stmt.args.values())

@@ -1,7 +1,26 @@
 """Tests for the loading-phase statistics (paper §3.3)."""
 from __future__ import annotations
 
-from repro.core.stats import PredicateStats
+import re
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.core.stats import GraphStats, PredicateStats
+
+#: predicate spellings: punctuation and case variants of one stem, full
+#: IRIs, non-ASCII text and names longer than a path component
+SPELLINGS = st.one_of(
+    st.builds(
+        lambda stem, sep, case: case(f"ex:{stem}{sep}{stem}"),
+        st.sampled_from(["x", "name", "s"]),
+        st.sampled_from(["", "-", ".", "_", "__", "#", "/", " ", "`"]),
+        st.sampled_from([str.lower, str.upper, str.title]),
+    ),
+    st.builds(lambda local: f"http://example.org/ns#{local}", st.text(max_size=8)),
+    st.text(min_size=1),
+    st.text(alphabet="aé中-", min_size=200, max_size=400),
+)
 
 
 class TestAgainstPandas:
@@ -49,3 +68,13 @@ class TestPredicateStats:
 
     def test_avg_multiplicity_no_zero_division(self):
         assert PredicateStats(0, 0).avg_multiplicity == 0.0
+
+
+@given(st.sets(SPELLINGS, max_size=40))
+def test_dictionary_names_are_injective_and_invertible(predicates):
+    stats = GraphStats({p: PredicateStats(1, 1) for p in predicates})
+    names = [stats.column(p) for p in predicates]
+    assert len(set(names)) == len(predicates)
+    assert all(re.fullmatch(r"p\d+", n) for n in names)
+    assert all(stats.predicate_of[stats.column(p)] == p for p in predicates)
+    assert len(stats.predicate_of) == len(predicates)
