@@ -9,12 +9,13 @@ paper's observation is precisely this asymmetry: Rya is extremely fast
 when intermediate results are tiny and orders of magnitude slower when
 they are not.
 
-Substrate built here (per DESIGN.md): "Accumulo tablet" = a NumPy array
-of composite keys (``s\\x1fp\\x1fo`` in the index's component order),
-kept sorted; a range scan is two ``searchsorted`` calls. The join
+Substrate built here (per DESIGN.md): "Accumulo tablet" = a sorted list
+of ``(s, p, o)`` component tuples in the index's component order; a
+range scan is two ``bisect_left`` calls, exact for any string. The join
 engine is a deliberate Python binding-at-a-time loop — vectorising it
 would simulate a system Rya is not. Join order uses Rya's simple
-reordering: most-bound patterns first, then smaller predicate extents.
+reordering: most-bound patterns first, then smaller predicate extents,
+kept connected by the walk every planner here shares.
 
 :meth:`RyaStore.load_distributed` persists the three indexes as sorted
 plain-text key files (the laptop-scale stand-in for Accumulo RFiles —
@@ -23,21 +24,23 @@ written by Spark sort + write jobs that mirror Rya's MapReduce
 bulk-ingest path, so Table 1 can measure size on disk. Plain
 :meth:`RyaStore.load` builds only the in-memory indexes on the driver.
 Querying always runs from the in-memory indexes (Accumulo tablets are
-memory/SSD-resident on the region servers).
+memory/SSD-resident on the region servers). The BatchScanner's network
+round-trips are charged by the Table-2 harness from
+:attr:`RyaStore.last_probes` (``repro.bench.harness.rya_query``).
 """
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 
-import numpy as np
 import pandas as pd
 
-from repro.sparql.algebra import Query, TriplePattern, is_const
+from repro.sparql.algebra import Query, TriplePattern, connected_order, is_const
 from repro.sparql.parser import parse
 
+#: separator of the components in the on-disk key files
 _SEP = "\x1f"
-_HIGH = "\x7f"  # sorts after every character our data may contain
 
 #: index name -> component order
 INDEX_ORDERS: dict[str, tuple[str, str, str]] = {
@@ -52,34 +55,23 @@ class _Index:
 
     def __init__(self, triples: pd.DataFrame, order: tuple[str, str, str]):
         self.order = order
-        df = triples.sort_values(list(order), kind="mergesort").reset_index(drop=True)
-        self.components = {c: df[c].to_numpy() for c in ("s", "p", "o")}
-        self.keys = (
-            df[order[0]].str.cat(df[order[1]], sep=_SEP).str.cat(df[order[2]], sep=_SEP)
-        ).to_numpy()
+        self.keys = sorted(zip(*(triples[c].tolist() for c in order)))
+        self._spo = tuple(order.index(c) for c in ("s", "p", "o"))
 
-    def scan(self, prefix_values: tuple[str, ...]) -> range:
-        """Row range whose keys start with the given *component* prefix.
-
-        Incomplete prefixes are terminated with the separator so that
-        e.g. component "u" cannot match a key starting with "u1".
-        """
-        if not prefix_values:
+    def scan(self, prefix: tuple[str, ...]) -> range:
+        """Row range whose keys start with the given *component* prefix:
+        ``[prefix, prefix with its last component + "\\0")``. No string
+        lies between a value and that value + ``"\\0"``, so the range
+        is exact ("u" does not match "u1", nor "Topic1" "Topic10")."""
+        if not prefix:
             return range(len(self.keys))
-        prefix = _SEP.join(prefix_values)
-        if len(prefix_values) == 3:
-            # fully-bound probe: exact key lookup, not a prefix scan
-            # ("...Topic1" must not match "...Topic10")
-            lo = int(np.searchsorted(self.keys, prefix, side="left"))
-            hi = int(np.searchsorted(self.keys, prefix, side="right"))
-            return range(lo, hi)
-        prefix += _SEP
-        lo = int(np.searchsorted(self.keys, prefix))
-        hi = int(np.searchsorted(self.keys, prefix + _HIGH))
-        return range(lo, hi)
+        upper = prefix[:-1] + (prefix[-1] + "\0",)
+        return range(bisect_left(self.keys, prefix), bisect_left(self.keys, upper))
 
     def row(self, i: int) -> dict[str, str]:
-        return {c: self.components[c][i] for c in ("s", "p", "o")}
+        key = self.keys[i]
+        s, p, o = self._spo
+        return {"s": key[s], "p": key[p], "o": key[o]}
 
 
 def choose_index(bound: set[str]) -> str:
@@ -96,20 +88,13 @@ def choose_index(bound: set[str]) -> str:
 class RyaStore:
     """Loaded Rya database: three sorted indexes + extent statistics.
 
-    ``rpc_latency_s`` / ``ranges_per_rpc`` model the Accumulo
-    BatchScanner network round-trips that a driver-local index cannot
-    exhibit: every ``ranges_per_rpc`` probes cost one ``rpc_latency_s``
-    sleep. Unit tests leave the model off (0.0); the Table-2 benchmark
-    enables it with conservative real-world parameters (2 ms per RPC,
-    32 ranges per batch — see DESIGN.md). ``last_probes`` exposes the
-    probe count of the most recent query as a scale-free cost metric.
+    ``last_probes`` exposes the probe count of the most recent query:
+    a scale-free cost metric, and the number of range scans the
+    Table-2 harness charges BatchScanner RPCs for.
     """
 
     indexes: dict[str, _Index]
     pred_counts: dict[str, int]
-    path: str | None = None
-    rpc_latency_s: float = 0.0
-    ranges_per_rpc: int = 32
     last_probes: int = 0
 
     @classmethod
@@ -123,14 +108,7 @@ class RyaStore:
 
     @classmethod
     def load_distributed(
-        cls,
-        spark,
-        triples,
-        triples_pd: pd.DataFrame,
-        *,
-        path: str,
-        rpc_latency_s: float = 0.0,
-        ranges_per_rpc: int = 32,
+        cls, spark, triples, triples_pd: pd.DataFrame, *, path: str
     ) -> "RyaStore":
         """Bulk ingest via Spark: one global sort + text write per index
         order (the stand-in for Rya's MapReduce bulk-ingest into
@@ -147,14 +125,7 @@ class RyaStore:
                 .write.mode("overwrite")
                 .text(os.path.join(path, name))
             )
-        store = cls.load(triples_pd)
-        return cls(
-            indexes=store.indexes,
-            pred_counts=store.pred_counts,
-            path=path,
-            rpc_latency_s=rpc_latency_s,
-            ranges_per_rpc=ranges_per_rpc,
-        )
+        return cls.load(triples_pd)
 
     # ------------------------------------------------------------------
     def _order(self, query: Query) -> list[TriplePattern]:
@@ -163,24 +134,13 @@ class RyaStore:
         *connected* (Rya's query planner pipelines patterns that share
         variables with already-produced bindings; a disconnected pick
         would turn every probe into a full scan)."""
-
-        def rank(tp: TriplePattern):
-            n_const = sum(1 for term in (tp.s, tp.p, tp.o) if is_const(term))
-            extent = (
-                self.pred_counts.get(tp.p.value, 0) if is_const(tp.p) else len(self.indexes["spo"].keys)
-            )
-            return (-n_const, extent)
-
-        remaining = sorted(query.patterns, key=rank)
-        ordered = [remaining.pop(0)]
-        bound = set(ordered[0].variables())
-        while remaining:
-            connected = [tp for tp in remaining if set(tp.variables()) & bound]
-            nxt = connected[0] if connected else remaining[0]
-            remaining.remove(nxt)
-            ordered.append(nxt)
-            bound |= set(nxt.variables())
-        return ordered
+        return connected_order(
+            query.patterns,
+            key=lambda tp: (
+                -sum(1 for t in (tp.s, tp.o) if is_const(t)),
+                self.pred_counts.get(tp.predicate, 0),
+            ),
+        )
 
     def _probe(
         self, tp: TriplePattern, binding: dict[str, str]
@@ -211,22 +171,16 @@ class RyaStore:
             if any(row[p] != v for p, v in residual.items()):
                 continue
             ext = dict(binding)
-            ok = True
             for pos, var in var_of.items():
-                val = row[pos]
-                if var in ext and ext[var] != val:
-                    ok = False
+                if ext.setdefault(var, row[pos]) != row[pos]:  # ?x p ?x
                     break
-                ext[var] = val
-            if ok:
+            else:
                 out.append(ext)
         return out
 
     def query(self, sparql: str | Query) -> pd.DataFrame:
         """Binding-at-a-time evaluation; returns a pandas DataFrame of
         the projected variables (bag semantics)."""
-        import time
-
         query = parse(sparql) if isinstance(sparql, str) else sparql
         query.validate()
         self.last_probes = 0
@@ -236,8 +190,6 @@ class RyaStore:
             for b in bindings:
                 nxt.extend(self._probe(tp, b))
                 self.last_probes += 1
-                if self.rpc_latency_s and self.last_probes % self.ranges_per_rpc == 0:
-                    time.sleep(self.rpc_latency_s)
             bindings = nxt
             if not bindings:
                 break

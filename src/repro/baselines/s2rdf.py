@@ -9,11 +9,12 @@ precomputes the semi-join reduction of VP_p1 against VP_p2 —
 - ``os``: rows of VP_p1 whose **object** is a subject of p2
 
 (object-object reductions are skipped, as in S2RDF's default
-configuration). At query time each triple pattern picks the smallest
-materialised ExtVP table applicable to one of its joins, falling back
-to plain VP; execution is then ordinary stats-ordered VP joins. Because
-a semi-join reduction is a superset of the rows the join needs, results
-are identical to VP execution — just faster, at the price of a heavy
+configuration); a table is kept only if it is smaller than VP_p1. At
+query time each triple pattern picks the smallest materialised ExtVP
+table applicable to one of its joins, falling back to plain VP;
+execution is then ordinary stats-ordered VP joins. Because a semi-join
+reduction is a superset of the rows the join needs, results are
+identical to VP execution — just faster, at the price of a heavy
 loading phase. That trade-off is exactly what Table 1 / Table 2 of the
 PRoST paper show.
 
@@ -79,22 +80,14 @@ class S2RDFStore:
     extvp_view: str
     #: (kind, p1 IRI, p2 IRI) -> row count of that ExtVP table (absent = not kept)
     extvp_counts: dict[tuple[str, str, str], int]
-    sel_threshold: float
     path: str
 
     @classmethod
-    def load(
-        cls,
-        spark: SparkSession,
-        triples: DataFrame,
-        *,
-        path: str,
-        sel_threshold: float = 1.0,
-    ) -> "S2RDFStore":
-        """Build VP and materialise every ExtVP table whose selectivity
-        (|ExtVP| / |VP_p1|) is ≤ ``sel_threshold`` and < 1 (a table as
-        large as its VP gives no benefit, as in S2RDF). Both datasets
-        are written to Parquet under *path* and read back."""
+    def load(cls, spark: SparkSession, triples: DataFrame, *, path: str) -> "S2RDFStore":
+        """Build VP and keep every ExtVP table that is smaller than its
+        VP table (one as large as its VP gives no benefit, as in
+        S2RDF). Both datasets are written to Parquet under *path* and
+        read back."""
         triples = canonicalize(triples)
         stats = GraphStats.compute(triples)
         vp = write_and_read(build_vp(triples, stats), os.path.join(path, "vp"), "pred")
@@ -108,8 +101,7 @@ class S2RDFStore:
         counts: dict[tuple[str, str, str], int] = {}
         for r in extvp.groupBy("kind", "pred", "p2").count().collect():
             p1, p2 = stats.predicate_of[r["pred"]], stats.predicate_of[r["p2"]]
-            selectivity = r["count"] / stats.n_triples(p1)
-            if selectivity < 1.0 and selectivity <= sel_threshold:
+            if r["count"] < stats.n_triples(p1):
                 counts[(r["kind"], p1, p2)] = r["count"]
 
         return cls(
@@ -118,7 +110,6 @@ class S2RDFStore:
             vp_view=register_view(vp, "s2rdf_vp"),
             extvp_view=register_view(extvp, "s2rdf_extvp"),
             extvp_counts=counts,
-            sel_threshold=sel_threshold,
             path=path,
         )
 

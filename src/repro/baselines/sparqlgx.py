@@ -10,7 +10,9 @@ predicate extents).
 This module reproduces both properties:
 
 - the store is a directory of tab-separated ``s\\to`` text files,
-  re-scanned from disk by every query;
+  re-scanned from disk by every query (backslash, tab, newline and
+  carriage return are written as N-Triples-style escapes, so any value
+  stays inside one field of one line);
 - evaluation folds the patterns into RDD joins of binding dictionaries
   (row-at-a-time Python processing — the RDD layer is the point here,
   per DESIGN.md, not a Catalyst plan).
@@ -22,6 +24,7 @@ the Figure 3 / Table 2 shape the paper reports).
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 from pyspark.sql import DataFrame, SparkSession
@@ -31,10 +34,24 @@ from pyspark.sql import types as T
 from repro.core.loader import build_vp
 from repro.core.stats import GraphStats
 from repro.rdf.triples import canonicalize
-from repro.sparql.algebra import Query, TriplePattern, is_const, is_var
+from repro.sparql.algebra import Query, TriplePattern, connected_order, is_const, is_var
 from repro.sparql.parser import parse
 
 _SEP = "\t"
+
+#: N-Triples-style escapes that keep each value inside one field of one
+#: line (backslash first, so the others' backslashes are not re-escaped)
+_ESCAPES = (("\\", "\\\\"), ("\t", "\\t"), ("\n", "\\n"), ("\r", "\\r"))
+_ESCAPED = re.compile(r"\\(.)")
+_UNESCAPES = {esc[1]: raw for raw, esc in _ESCAPES}
+
+
+def _escaped(col: str):
+    """Column *col* with :data:`_ESCAPES` applied."""
+    out = F.col(col)
+    for raw, esc in _ESCAPES:
+        out = F.replace(out, F.lit(raw), F.lit(esc))
+    return out
 
 
 def _pattern_rdd(sc, path: str, tp: TriplePattern):
@@ -44,8 +61,13 @@ def _pattern_rdd(sc, path: str, tp: TriplePattern):
     s_var = tp.s.name if is_var(tp.s) else None
     o_var = tp.o.name if is_var(tp.o) else None
 
+    def unescape(field: str) -> str:
+        if "\\" not in field:
+            return field
+        return _ESCAPED.sub(lambda m: _UNESCAPES[m.group(1)], field)
+
     def to_binding(line: str):
-        s, o = line.split(_SEP, 1)
+        s, o = map(unescape, line.split(_SEP, 1))
         if s_const is not None and s != s_const:
             return None
         if o_const is not None and o != o_const:
@@ -99,7 +121,7 @@ class SparqlGXStore:
         data_path = os.path.join(path, "vp_text")
         (
             build_vp(triples, stats)
-            .select("pred", F.concat_ws(_SEP, "s", "o").alias("value"))
+            .select("pred", F.concat_ws(_SEP, _escaped("s"), _escaped("o")).alias("value"))
             .write.partitionBy("pred")
             .mode("overwrite")
             .text(data_path)
@@ -111,21 +133,13 @@ class SparqlGXStore:
         """SPARQLGX's own heuristic: most-constrained patterns first
         (constant count desc, then predicate extent asc), greedily kept
         connected so the RDD fold never cartesians needlessly."""
-
-        def rank(tp: TriplePattern):
-            n_const = sum(1 for t in (tp.s, tp.o) if is_const(t))
-            return (-n_const, self.stats.n_triples(tp.predicate))
-
-        remaining = sorted(query.patterns, key=rank)
-        ordered = [remaining.pop(0)]
-        bound = set(ordered[0].variables())
-        while remaining:
-            connected = [tp for tp in remaining if set(tp.variables()) & bound]
-            nxt = connected[0] if connected else remaining[0]
-            remaining.remove(nxt)
-            ordered.append(nxt)
-            bound |= set(nxt.variables())
-        return ordered
+        return connected_order(
+            query.patterns,
+            key=lambda tp: (
+                -sum(1 for t in (tp.s, tp.o) if is_const(t)),
+                self.stats.n_triples(tp.predicate),
+            ),
+        )
 
     def query(self, sparql: str | Query) -> DataFrame:
         """Evaluate via RDD joins; returns a Spark DataFrame of the

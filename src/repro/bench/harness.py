@@ -32,8 +32,8 @@ from repro.sparql.watdiv_queries import GROUP_TITLES, GROUPS, QUERIES
 SYSTEMS = ("PRoST", "S2RDF", "Rya", "SPARQLGX")
 
 #: Accumulo BatchScanner network model for the Rya baseline (see
-#: DESIGN.md): one RPC of ~2 ms per batch of 32 range scans. Unit
-#: tests run Rya with the model off; benchmarks measure with it on.
+#: DESIGN.md): one RPC of ~2 ms per full batch of 32 range scans,
+#: charged by :func:`rya_query`.
 RYA_RPC_LATENCY_S = 0.002
 RYA_RANGES_PER_RPC = 32
 
@@ -92,17 +92,10 @@ def load_all_systems(
 
     path = os.path.join(base_dir, "rya")
     secs, rya = timed(
-        lambda: RyaStore.load_distributed(
-            spark,
-            triples,
-            triples_pd,
-            path=path,
-            rpc_latency_s=RYA_RPC_LATENCY_S,
-            ranges_per_rpc=RYA_RANGES_PER_RPC,
-        )
+        lambda: RyaStore.load_distributed(spark, triples, triples_pd, path=path)
     )
     out["Rya"] = LoadedSystem(
-        "Rya", rya, secs, dir_size(path), lambda q: len(rya.query(q))
+        "Rya", rya, secs, dir_size(path), lambda q: len(rya_query(rya, q))
     )
 
     path = os.path.join(base_dir, "sparqlgx")
@@ -144,20 +137,24 @@ def group_averages(per_query: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
+def rya_query(rya: RyaStore, sparql: str) -> pd.DataFrame:
+    """Run *sparql* on Rya, then sleep for the BatchScanner RPCs its
+    probes cost: one ``RYA_RPC_LATENCY_S`` per full batch of
+    ``RYA_RANGES_PER_RPC`` range scans."""
+    out = rya.query(sparql)
+    time.sleep(rya.last_probes // RYA_RANGES_PER_RPC * RYA_RPC_LATENCY_S)
+    return out
+
+
 def rya_probe_counts(rya: RyaStore) -> pd.DataFrame:
     """Per-query index-probe counts for Rya — the scale-free cost
     metric behind its Table-2 profile (probes ≈ Accumulo RPC range scans).
-    Runs with the network model off so only counts are collected."""
-    saved = rya.rpc_latency_s
-    rya.rpc_latency_s = 0.0
-    try:
-        rows = []
-        for qname, sparql in QUERIES.items():
-            n = len(rya.query(sparql))
-            rows.append({"query": qname, "probes": rya.last_probes, "rows": n})
-        return pd.DataFrame(rows)
-    finally:
-        rya.rpc_latency_s = saved
+    Runs without the network model so only counts are collected."""
+    rows = []
+    for qname, sparql in QUERIES.items():
+        n = len(rya.query(sparql))
+        rows.append({"query": qname, "probes": rya.last_probes, "rows": n})
+    return pd.DataFrame(rows)
 
 
 def vp_vs_mixed(prost: Prost, rounds: int = 1) -> pd.DataFrame:

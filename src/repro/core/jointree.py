@@ -17,17 +17,18 @@ Priorities follow §3.3 exactly:
    selective estimate), with literal patterns weighted heavily.
 
 The node with the *lowest* priority becomes the root. Ordering is
-greedy-connected: after the first (highest-priority) node, the next
-node is always the highest-priority one sharing a variable with the
-already-joined set, so cartesian products only happen for genuinely
-disconnected queries.
+greedy-connected (:func:`~repro.sparql.algebra.connected_order`, the
+walk SPARQLGX and Rya also use): after the first (highest-priority)
+node, the next node is always the highest-priority one sharing a
+variable with the already-joined set, so cartesian products only
+happen for genuinely disconnected queries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from repro.core.stats import GraphStats
-from repro.sparql.algebra import Query, TriplePattern, is_const
+from repro.sparql.algebra import Query, TriplePattern, connected_order, is_const
 
 #: priority bonus per literal-bearing pattern (dominates any size term)
 LITERAL_BONUS = 1e12
@@ -146,14 +147,5 @@ def build_join_tree(query: Query, stats: GraphStats, mode: str = "mixed") -> Joi
     query.validate()
     nodes = group_patterns(query, mode)
     prio = {id(n): node_priority(n, stats) for n in nodes}
-
-    remaining = sorted(nodes, key=lambda n: -prio[id(n)])
-    order: list[Node] = [remaining.pop(0)]
-    bound: set[str] = set(order[0].variables())
-    while remaining:
-        connected = [n for n in remaining if n.variables() & bound]
-        nxt = connected[0] if connected else remaining[0]
-        remaining.remove(nxt)
-        order.append(nxt)
-        bound |= nxt.variables()
+    order = connected_order(nodes, key=lambda n: -prio[id(n)])
     return JoinTree(execution_order=order, priorities=prio)

@@ -10,6 +10,7 @@ which the Join Tree priority heuristic needs (literals score highest).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Sequence, TypeVar
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,28 @@ def is_var(t: Term) -> bool:
 def is_const(t: Term) -> bool:
     """True iff *t* is bound (an IRI or a literal)."""
     return isinstance(t, (IRI, Literal))
+
+
+T = TypeVar("T")
+
+
+def connected_order(items: Sequence[T], key: Callable[[T], object]) -> list[T]:
+    """Greedy connected join order, shared by every planner here.
+
+    Sort *items* (anything with ``variables()``) by *key*, then take the
+    first remaining item that shares a variable with those already
+    placed, or the first remaining one if none does — so a cartesian
+    product happens only for a genuinely disconnected query.
+    """
+    remaining = sorted(items, key=key)
+    ordered = [remaining.pop(0)]
+    bound = set(ordered[0].variables())
+    while remaining:
+        nxt = next((x for x in remaining if bound.intersection(x.variables())), remaining[0])
+        remaining.remove(nxt)
+        ordered.append(nxt)
+        bound.update(nxt.variables())
+    return ordered
 
 
 @dataclass(frozen=True)

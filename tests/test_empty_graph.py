@@ -1,6 +1,6 @@
 """Degenerate graphs: every engine loads them and answers like the oracle.
 
-Two graphs, each with its own queries:
+Three graphs, each with its own queries:
 
 - ``empty``: no triples. A star (a PT node in mixed mode) and a chain
   answer zero rows under the projected, string-typed columns.
@@ -9,6 +9,11 @@ Two graphs, each with its own queries:
   ``x__y``, ``Name``/``name``), a predicate ``<s>`` named like the
   Property Table's subject column, a full ``http://…#`` IRI, and
   multi-valued stars over them.
+- ``literals``: values an index or a text file can mangle: non-ASCII
+  objects (``école`` sorts above ``\\x7f``, a CJK string), ``a`` next
+  to ``a\\tb`` and a subject ``a\\t`` (a tab sorts below any key
+  separator), a newline, a carriage return, a quote, a backslash and
+  an SQL-shaped string.
 
 PRoST (mixed and VP-only), S2RDF, SPARQLGX and Rya each answer every
 query, diffed against the DuckDB reference through ``oracle.py``.
@@ -65,12 +70,37 @@ COLLIDING_QUERIES = [
     PREFIX + f"SELECT ?x ?y WHERE {{ ?x <{FULL}> ?y . ?y <s> ?v . }}",
 ]
 
+LITERALS = pd.DataFrame(
+    [
+        ("a", "ex:p", "école"),
+        ("b", "ex:p", "東京"),
+        ("c", "ex:p", "a"),
+        ("d", "ex:p", "a\tb"),
+        ("e", "ex:p", "line1\nline2"),
+        ("i", "ex:p", "cr\rlf"),
+        ("f", "ex:p", 'say "hi"'),
+        ("g", "ex:p", "back\\slash"),
+        ("h", "ex:p", "x'); DROP TABLE vp; --"),
+        ("a", "ex:q", "1"),
+        ("a\t", "ex:q", "2"),
+        ("d", "ex:q", "3"),
+    ],
+    columns=["s", "p", "o"],
+)
+LITERALS_QUERIES = [
+    PREFIX + "SELECT ?s ?o WHERE { ?s ex:p ?o . }",
+    PREFIX + 'SELECT ?s WHERE { ?s ex:p "a" . }',
+    PREFIX + "SELECT * WHERE { ?s ex:p ?o . ?s ex:q ?n . }",
+    PREFIX + "SELECT ?n WHERE { <a> ex:q ?n . }",
+]
+
 
 @pytest.mark.parametrize(
     "graph,queries",
     [
         pytest.param(EMPTY, EMPTY_QUERIES, id="empty"),
         pytest.param(COLLIDING, COLLIDING_QUERIES, id="colliding"),
+        pytest.param(LITERALS, LITERALS_QUERIES, id="literals"),
     ],
 )
 def test_graph_loads_and_matches_oracle(spark, tmp_path, graph, queries):

@@ -67,12 +67,7 @@ class TestTables:
         assert len(table) == 4
         assert (table[["PRoST", "Rya"]] > 0).all().all()
 
-    def test_vp_vs_mixed_table(self, spark, tmp_path):
-        from repro.core.prost import Prost
-        from repro.rdf.watdiv import watdiv
-
-        triples = watdiv(spark, scale=SCALE, seed=7)
-        prost = Prost.load(spark, triples, path=str(tmp_path / "prost"))
-        table = vp_vs_mixed(prost, rounds=1)
+    def test_vp_vs_mixed_table(self, systems):
+        table = vp_vs_mixed(systems["PRoST"].store, rounds=1)
         assert len(table) == len(QUERIES)
         assert (table["vp_only_s"] > 0).all() and (table["mixed_s"] > 0).all()

@@ -4,7 +4,6 @@ from __future__ import annotations
 import pandas as pd
 import pytest
 
-from repro.baselines.s2rdf import S2RDFStore
 from repro.oracle import assert_equivalent
 from repro.sparql.parser import parse
 from repro.sparql.reference import bgp_to_sql
@@ -66,12 +65,6 @@ class TestExtVPTables:
 
     def test_self_pairs_excluded(self, s2rdf):
         assert all(p1 != p2 for (_k, p1, p2) in s2rdf.extvp_counts)
-
-    def test_threshold_filters_tables(self, spark, triples, tmp_path):
-        tight = S2RDFStore.load(spark, triples, path=str(tmp_path), sel_threshold=0.05)
-        assert tight.extvp_counts, "some highly selective pair should survive"
-        for (_k, p1, _p2), n in tight.extvp_counts.items():
-            assert n / tight.stats.n_triples(p1) <= 0.05
 
 
 class TestTableChoice:
