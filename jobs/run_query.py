@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import argparse
 import tempfile
+from pathlib import Path
 
 from _session import get_spark
 
 from repro.core.executor import compile_tree
 from repro.core.prost import Prost
-from repro.rdf.watdiv import watdiv
+from repro.rdf.triples import to_spark
+from repro.rdf.watdiv import watdiv_pandas
 from repro.sparql.parser import parse
 from repro.sparql.watdiv_queries import QUERIES
 
@@ -37,11 +39,11 @@ def main() -> None:
     if not args.query and not args.sparql_file:
         ap.error("one of --query / --sparql-file is required")
 
-    sparql = QUERIES[args.query] if args.query else open(args.sparql_file).read()
+    sparql = QUERIES[args.query] if args.query else Path(args.sparql_file).read_text()
     query = parse(sparql)
     with tempfile.TemporaryDirectory(prefix="prost_query_") as path:
         spark = get_spark("prost-query")
-        triples = watdiv(spark, scale=args.scale, seed=args.seed)
+        triples = to_spark(spark, watdiv_pandas(scale=args.scale, seed=args.seed))
         prost = Prost.load(spark, triples, path=path)
         tree = prost.plan(query, mode=args.mode)
         print("join tree nodes (execution order):", tree.node_labels())

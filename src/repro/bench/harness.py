@@ -6,6 +6,10 @@ Produces the measurements behind:
 - **Table 2** — average query time per WatDiv group per system;
 - **Figure 2 (as a table)** — per-query PRoST mixed vs. VP-only.
 
+Each system is loaded by one loop over :data:`SYSTEMS`, and every query
+time, of the four systems or of PRoST's two modes, comes from the one
+timing loop in :func:`query_times`.
+
 All timings are wall-clock on the local Spark session. Query execution
 is forced with ``count()`` (full materialisation of the result without
 driver collection — the paper measures query completion on the
@@ -16,6 +20,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from statistics import median
 from typing import Callable
 
@@ -27,9 +32,6 @@ from repro.baselines.s2rdf import S2RDFStore
 from repro.baselines.sparqlgx import SparqlGXStore
 from repro.core.prost import Prost
 from repro.sparql.watdiv_queries import GROUP_TITLES, GROUPS, QUERIES
-
-#: evaluation order of the systems, as in the paper's Table 2
-SYSTEMS = ("PRoST", "S2RDF", "Rya", "SPARQLGX")
 
 #: Accumulo BatchScanner network model for the Rya baseline (see
 #: DESIGN.md): one RPC of ~2 ms per full batch of 32 range scans,
@@ -58,15 +60,44 @@ def timed(fn: Callable[[], object]) -> tuple[float, object]:
     return time.perf_counter() - t0, out
 
 
+@dataclass(frozen=True)
+class System:
+    """How to load one system and how to run a query on its store."""
+
+    load: Callable[[SparkSession, DataFrame, pd.DataFrame, str], object]
+    run: Callable[[object, str], int]  # (store, SPARQL text) -> result row count
+
+
 @dataclass
 class LoadedSystem:
     """One system after loading: handle + Table-1 measurements."""
 
-    name: str
     store: object
     load_seconds: float
     size_bytes: int
     run_query: Callable[[str], int]  # SPARQL text -> result row count
+
+
+def _spark_system(cls) -> System:
+    return System(
+        lambda spark, triples, _triples_pd, path: cls.load(spark, triples, path=path),
+        lambda store, sparql: store.query(sparql).count(),
+    )
+
+
+#: the four systems in the paper's Table 2 order, each with how to load
+#: it and how to run one query on it (returning the result row count)
+SYSTEMS: dict[str, System] = {
+    "PRoST": _spark_system(Prost),
+    "S2RDF": _spark_system(S2RDFStore),
+    "Rya": System(
+        lambda spark, triples, triples_pd, path: RyaStore.load_distributed(
+            spark, triples, triples_pd, path=path
+        ),
+        lambda rya, sparql: len(rya_query(rya, sparql)),
+    ),
+    "SPARQLGX": _spark_system(SparqlGXStore),
+}
 
 
 def load_all_systems(
@@ -75,51 +106,40 @@ def load_all_systems(
     triples_pd: pd.DataFrame,
     base_dir: str,
 ) -> dict[str, LoadedSystem]:
-    """Load the graph into all four stores, timing each (Table 1)."""
+    """Load the graph into all four stores, timing each (Table 1).
+    Each store goes in ``base_dir/<name in lower case>``."""
     out: dict[str, LoadedSystem] = {}
-
-    path = os.path.join(base_dir, "prost")
-    secs, prost = timed(lambda: Prost.load(spark, triples, path=path))
-    out["PRoST"] = LoadedSystem(
-        "PRoST", prost, secs, dir_size(path), lambda q: prost.query(q).count()
-    )
-
-    path = os.path.join(base_dir, "s2rdf")
-    secs, s2 = timed(lambda: S2RDFStore.load(spark, triples, path=path))
-    out["S2RDF"] = LoadedSystem(
-        "S2RDF", s2, secs, dir_size(path), lambda q: s2.query(q).count()
-    )
-
-    path = os.path.join(base_dir, "rya")
-    secs, rya = timed(
-        lambda: RyaStore.load_distributed(spark, triples, triples_pd, path=path)
-    )
-    out["Rya"] = LoadedSystem(
-        "Rya", rya, secs, dir_size(path), lambda q: len(rya_query(rya, q))
-    )
-
-    path = os.path.join(base_dir, "sparqlgx")
-    secs, gx = timed(lambda: SparqlGXStore.load(spark, triples, path=path))
-    out["SPARQLGX"] = LoadedSystem(
-        "SPARQLGX", gx, secs, dir_size(path), lambda q: gx.query(q).count()
-    )
+    for name, system in SYSTEMS.items():
+        path = os.path.join(base_dir, name.lower())
+        secs, store = timed(lambda: system.load(spark, triples, triples_pd, path))
+        out[name] = LoadedSystem(store, secs, dir_size(path), partial(system.run, store))
     return out
 
 
-def time_query(run: Callable[[str], int], sparql: str, rounds: int = 1) -> float:
-    """Median wall-clock seconds over *rounds* executions."""
-    return median(timed(lambda: run(sparql))[0] for _ in range(rounds))
+def loading_table(systems: dict[str, LoadedSystem]) -> pd.DataFrame:
+    """Table 1: store size on disk and loading time per system."""
+    return pd.DataFrame(
+        [
+            {
+                "System": name,
+                "Size (MB)": round(ls.size_bytes / 1e6, 2),
+                "Time (s)": round(ls.load_seconds, 1),
+            }
+            for name, ls in systems.items()
+        ]
+    )
 
 
 def query_times(
-    systems: dict[str, LoadedSystem], rounds: int = 1
+    runners: dict[str, Callable[[str], object]], rounds: int = 1
 ) -> pd.DataFrame:
-    """Per-query wall-clock seconds, one column per system (Figure 3)."""
+    """Per-query median wall-clock seconds over *rounds* executions, one
+    column per runner (SPARQL text -> result); Figure 3's data."""
     rows = []
     for qname, sparql in QUERIES.items():
         row: dict[str, object] = {"query": qname}
-        for sysname, ls in systems.items():
-            row[sysname] = time_query(ls.run_query, sparql, rounds)
+        for name, run in runners.items():
+            row[name] = median(timed(lambda: run(sparql))[0] for _ in range(rounds))
         rows.append(row)
     return pd.DataFrame(rows)
 
@@ -159,25 +179,15 @@ def rya_probe_counts(rya: RyaStore) -> pd.DataFrame:
 
 def vp_vs_mixed(prost: Prost, rounds: int = 1) -> pd.DataFrame:
     """Figure 2 as a table: per-query seconds, VP-only vs mixed."""
-    rows = []
-    for qname, sparql in QUERIES.items():
-        t_vp = median(
-            timed(lambda: prost.query(sparql, mode="vp").count())[0]
-            for _ in range(rounds)
-        )
-        t_mixed = median(
-            timed(lambda: prost.query(sparql, mode="mixed").count())[0]
-            for _ in range(rounds)
-        )
-        rows.append(
-            {
-                "query": qname,
-                "vp_only_s": round(t_vp, 3),
-                "mixed_s": round(t_mixed, 3),
-                "speedup": round(t_vp / t_mixed, 2) if t_mixed > 0 else float("inf"),
-            }
-        )
-    return pd.DataFrame(rows)
+    table = query_times(
+        {
+            "vp_only_s": lambda q: prost.query(q, mode="vp").count(),
+            "mixed_s": lambda q: prost.query(q, mode="mixed").count(),
+        },
+        rounds,
+    )
+    table["speedup"] = (table["vp_only_s"] / table["mixed_s"]).round(2)
+    return table.round({"vp_only_s": 3, "mixed_s": 3})
 
 
 def format_table(df: pd.DataFrame, title: str) -> str:

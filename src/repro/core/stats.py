@@ -26,11 +26,6 @@ class PredicateStats:
     n_triples: int
     n_distinct_subjects: int
 
-    @property
-    def avg_multiplicity(self) -> float:
-        """Average objects per subject; >1 marks a multi-valued predicate."""
-        return self.n_triples / max(1, self.n_distinct_subjects)
-
 
 @dataclass(frozen=True)
 class GraphStats:

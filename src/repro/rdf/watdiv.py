@@ -31,9 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-
-from repro.rdf.triples import canonicalize, to_spark
 
 RDF_TYPE = "rdf:type"
 
@@ -334,7 +331,3 @@ def watdiv_pandas(*, scale: float = 1.0, seed: int = 42) -> pd.DataFrame:
     out = out.drop_duplicates(["s", "p", "o"]).reset_index(drop=True)
     return out
 
-
-def watdiv(spark: SparkSession, *, scale: float = 1.0, seed: int = 42) -> DataFrame:
-    """WatDiv-lite as a canonical Spark triple DataFrame."""
-    return canonicalize(to_spark(spark, watdiv_pandas(scale=scale, seed=seed)))

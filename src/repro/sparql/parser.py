@@ -8,8 +8,8 @@ Grammar (case-insensitive keywords)::
 
 where each triple term is a variable (``?v0``), a prefixed name
 (``wsdbm:likes``), a full IRI (``<http://...>``), a quoted literal
-(``"male"``) or a bare number (``42`` — WatDiv uses plain integers for
-ages/ratings).
+(``"male"``, with SPARQL's backslash escapes such as ``\\t``) or a
+bare number (``42`` — WatDiv uses plain integers for ages/ratings).
 
 Full IRIs whose namespace matches a declared prefix are canonicalised
 to the prefixed form, so the parser output is independent of which
@@ -37,6 +37,8 @@ DEFAULT_PREFIXES: dict[str, str] = {
     "rdfs": "http://www.w3.org/2000/01/rdf-schema#",
 }
 
+# A prefixed name's local part may hold dots but not end with one: the
+# "." after ``wsdbm:Product0.`` ends the triple pattern.
 _TOKEN = re.compile(
     r"""
     (?P<ws>\s+)
@@ -44,13 +46,18 @@ _TOKEN = re.compile(
   | (?P<iri><[^<>\s]*>)
   | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
   | (?P<literal>"(?:[^"\\]|\\.)*")
-  | (?P<pname>[A-Za-z][A-Za-z0-9_-]*:[A-Za-z0-9_.-]*)
+  | (?P<pname>[A-Za-z][A-Za-z0-9_-]*:(?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)
   | (?P<number>[+-]?\d+(?:\.\d+)?)
   | (?P<keyword>[A-Za-z][A-Za-z0-9_]*)
   | (?P<punct>[{}().*;,])
     """,
     re.VERBOSE,
 )
+
+#: SPARQL's escapes in a quoted literal (ECHAR), decoded in one pass so
+#: that ``\\t`` stays a backslash followed by ``t``
+_ESCAPE = re.compile(r"\\(.)")
+_UNESCAPES = dict(zip("tnrbf\"'\\", "\t\n\r\b\f\"'\\"))
 
 
 class ParseError(ValueError):
@@ -107,6 +114,12 @@ def _canonical_iri(raw: str, prefixes: dict[str, str]) -> str:
     return full
 
 
+def _unescape(m: re.Match) -> str:
+    if m.group(1) not in _UNESCAPES:
+        raise ParseError(f"invalid escape \\{m.group(1)} in a literal")
+    return _UNESCAPES[m.group(1)]
+
+
 def _term(cur: _Cursor, prefixes: dict[str, str]) -> Term:
     kind, val = cur.next()
     if kind == "var":
@@ -119,8 +132,7 @@ def _term(cur: _Cursor, prefixes: dict[str, str]) -> Term:
     if kind == "iri":
         return IRI(_canonical_iri(val, prefixes))
     if kind == "literal":
-        body = val[1:-1]
-        return Literal(body.replace('\\"', '"').replace("\\\\", "\\"))
+        return Literal(_ESCAPE.sub(_unescape, val[1:-1]))
     if kind == "number":
         return Literal(val)
     raise ParseError(f"expected a term, got {val!r}")

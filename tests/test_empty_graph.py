@@ -13,7 +13,8 @@ Three graphs, each with its own queries:
   objects (``école`` sorts above ``\\x7f``, a CJK string), ``a`` next
   to ``a\\tb`` and a subject ``a\\t`` (a tab sorts below any key
   separator), a newline, a carriage return, a quote, a backslash and
-  an SQL-shaped string.
+  an SQL-shaped string. A query that spells the tab as ``\\t`` must
+  return the same rows as one with a raw tab.
 
 PRoST (mixed and VP-only), S2RDF, SPARQLGX and Rya each answer every
 query, diffed against the DuckDB reference through ``oracle.py``.
@@ -92,18 +93,24 @@ LITERALS_QUERIES = [
     PREFIX + 'SELECT ?s WHERE { ?s ex:p "a" . }',
     PREFIX + "SELECT * WHERE { ?s ex:p ?o . ?s ex:q ?n . }",
     PREFIX + "SELECT ?n WHERE { <a> ex:q ?n . }",
+    PREFIX + r'SELECT ?s WHERE { ?s ex:p "a\tb" . }',
+    PREFIX + 'SELECT ?s WHERE { ?s ex:p "a\tb" . }',
 ]
+#: the last two queries spell a tab as ``\t`` and raw: each engine must
+#: return the same rows, and some, for both (the oracle parses the same
+#: literal, so its diff alone cannot catch a wrong decoding)
+LITERALS_SPELLINGS = tuple(LITERALS_QUERIES[-2:])
 
 
 @pytest.mark.parametrize(
-    "graph,queries",
+    "graph,queries,spellings",
     [
-        pytest.param(EMPTY, EMPTY_QUERIES, id="empty"),
-        pytest.param(COLLIDING, COLLIDING_QUERIES, id="colliding"),
-        pytest.param(LITERALS, LITERALS_QUERIES, id="literals"),
+        pytest.param(EMPTY, EMPTY_QUERIES, (), id="empty"),
+        pytest.param(COLLIDING, COLLIDING_QUERIES, (), id="colliding"),
+        pytest.param(LITERALS, LITERALS_QUERIES, LITERALS_SPELLINGS, id="literals"),
     ],
 )
-def test_graph_loads_and_matches_oracle(spark, tmp_path, graph, queries):
+def test_graph_loads_and_matches_oracle(spark, tmp_path, graph, queries, spellings):
     triples = to_spark(spark, graph)
     prost = Prost.load(spark, triples, path=str(tmp_path / "prost"))
     pt_columns = ["s"] + [prost.store.stats.column(p) for p in sorted(graph["p"].unique())]
@@ -115,6 +122,7 @@ def test_graph_loads_and_matches_oracle(spark, tmp_path, graph, queries):
         "sparqlgx": SparqlGXStore.load(spark, triples, path=str(tmp_path / "gx")).query,
     }
     rya = RyaStore.load(graph)
+    rows = {}  # (engine, spelling) -> sorted result rows
     for sparql in queries:
         query = parse(sparql)
         reference = bgp_to_sql(query)
@@ -123,8 +131,15 @@ def test_graph_loads_and_matches_oracle(spark, tmp_path, graph, queries):
             out = run(query)
             assert out.dtypes == [(c, "string") for c in columns], name
             assert_equivalent(out, reference, triples=graph)
+            if sparql in spellings:
+                rows[name, sparql] = sorted(map(tuple, out.collect()))
         out = rya.query(query)
         assert list(out.columns) == columns
         assert_equivalent_pd(out, reference, triples=graph)
+        if sparql in spellings:
+            rows["rya", sparql] = sorted(out.itertuples(index=False, name=None))
         if graph.empty:
             assert out.empty
+    for name in [*spark_engines, "rya"]:
+        same = [rows[name, sparql] for sparql in spellings]
+        assert all(r and r == same[0] for r in same), name

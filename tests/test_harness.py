@@ -7,11 +7,12 @@ import time
 import pandas as pd
 
 from repro.bench.harness import (
+    LoadedSystem,
     dir_size,
     format_table,
     group_averages,
+    loading_table,
     query_times,
-    time_query,
     timed,
 )
 from repro.sparql.watdiv_queries import QUERIES
@@ -33,8 +34,10 @@ class TestTimed:
             calls.append(q)
             return 0
 
-        t = time_query(run, "SELECT", rounds=3)
-        assert len(calls) == 3 and t >= 0
+        table = query_times({"X": run}, rounds=3)
+        assert len(calls) == 3 * len(QUERIES)
+        assert all(calls.count(q) == 3 for q in QUERIES.values())
+        assert (table["X"] >= 0).all()
 
 
 class TestDirSize:
@@ -52,23 +55,17 @@ class TestDirSize:
         assert dir_size(os.path.join("/tmp", "definitely-not-here-xyz")) == 0
 
 
-class _StubSystem:
-    def __init__(self, name, delay):
-        self.name = name
-        self.delay = delay
-        self.run_query = self._run
-
-    def _run(self, q):
-        time.sleep(self.delay)
+def _stub(delay):
+    def run(q):
+        time.sleep(delay)
         return 1
+
+    return run
 
 
 class TestQueryTables:
     def stub_systems(self):
-        return {
-            "Fast": _StubSystem("Fast", 0.0),
-            "Slow": _StubSystem("Slow", 0.002),
-        }
+        return {"Fast": _stub(0.0), "Slow": _stub(0.002)}
 
     def test_query_times_shape(self):
         df = query_times(self.stub_systems(), rounds=1)
@@ -94,6 +91,17 @@ class TestQueryTables:
     def test_slow_system_measures_slower(self):
         per_query = query_times(self.stub_systems(), rounds=1)
         assert per_query["Slow"].mean() > per_query["Fast"].mean()
+
+
+class TestLoadingTable:
+    def test_columns_and_rounding(self):
+        systems = {
+            "A": LoadedSystem(None, 1.26, 1_234_567, len),
+            "B": LoadedSystem(None, 0.04, 10_000, len),
+        }
+        table = loading_table(systems)
+        assert list(table.columns) == ["System", "Size (MB)", "Time (s)"]
+        assert table.values.tolist() == [["A", 1.23, 1.3], ["B", 0.01, 0.0]]
 
 
 class TestFormatting:

@@ -69,6 +69,33 @@ class TestTerms:
         q = parse('SELECT ?a WHERE { ?a sorg:text "a\\"b" . }')
         assert q.patterns[0].o == Literal('a"b')
 
+    @pytest.mark.parametrize(
+        "escaped,value",
+        [
+            (r"a\tb", "a\tb"),
+            (r"a\nb", "a\nb"),
+            (r"a\rb", "a\rb"),
+            (r"a\bb", "a\bb"),
+            (r"a\fb", "a\fb"),
+            (r'a\"b', 'a"b'),
+            (r"a\'b", "a'b"),
+            (r"a\\b", "a\\b"),
+            (r"a\\tb", "a\\tb"),  # an escaped backslash, then a plain t
+        ],
+    )
+    def test_literal_escapes_decoded(self, escaped, value):
+        q = parse(f'SELECT ?a WHERE {{ ?a sorg:text "{escaped}" . }}')
+        assert q.patterns[0].o == Literal(value)
+
+    def test_prefixed_name_does_not_end_with_dot(self):
+        q = parse("SELECT ?a WHERE { ?a wsdbm:likes wsdbm:Product0. }")
+        assert q.patterns[0].o == IRI("wsdbm:Product0")
+
+    def test_prefixed_name_keeps_inner_dots(self):
+        q = parse("PREFIX ex: <http://example.org/> SELECT ?a WHERE { ?a ex:x.y ex:a.b. }")
+        assert q.patterns[0].p == IRI("ex:x.y")
+        assert q.patterns[0].o == IRI("ex:a.b")
+
     def test_bare_number_literal(self):
         q = parse("SELECT ?a WHERE { ?a foaf:age 26 . }")
         assert q.patterns[0].o == Literal("26")
@@ -134,6 +161,7 @@ class TestPrefixes:
         "SELECT ?a WHERE { ?a wsdbm:likes ?b . FILTER(?b > 1) }",
         "SELECT ?a WHERE { OPTIONAL { ?a wsdbm:likes ?b } }",
         "SELECT ?a WHERE { ?a wsdbm:likes ?b @bad }",
+        r'SELECT ?a WHERE { ?a sorg:text "a\qb" . }',
     ],
 )
 def test_syntax_errors_raise(bad):

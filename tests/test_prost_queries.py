@@ -92,6 +92,12 @@ class TestAdHocQueries:
             prost.query(sparql), bgp_to_sql(parse(sparql)), triples=triples_pd
         )
 
+    def test_dot_right_after_prefixed_object(self, prost, triples_pd):
+        sparql = "SELECT ?u WHERE { ?u wsdbm:likes wsdbm:Product0. }"
+        df = prost.query(sparql)
+        assert df.count() > 0
+        assert_equivalent(df, bgp_to_sql(parse(sparql)), triples=triples_pd)
+
     def test_variable_predicate_rejected(self, prost):
         with pytest.raises(ValueError):
             prost.query("SELECT ?a WHERE { ?a ?p ?b . }")

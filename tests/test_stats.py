@@ -62,14 +62,6 @@ class TestAgainstPandas:
         assert "wsdbm:userId" not in mv
 
 
-class TestPredicateStats:
-    def test_avg_multiplicity(self):
-        assert PredicateStats(10, 5).avg_multiplicity == 2.0
-
-    def test_avg_multiplicity_no_zero_division(self):
-        assert PredicateStats(0, 0).avg_multiplicity == 0.0
-
-
 @given(st.sets(SPELLINGS, max_size=40))
 def test_dictionary_names_are_injective_and_invertible(predicates):
     stats = GraphStats({p: PredicateStats(1, 1) for p in predicates})
