@@ -4,11 +4,15 @@ their session here.
 
 Only settings that are honoured after the JVM has started belong here
 (master and driver memory are launch arguments). Broadcast joins are
-disabled so that joins exercise the shuffle path at laptop scale.
+disabled so that joins exercise the shuffle path at laptop scale. The
+catalog's warehouse directory, which Spark creates even though every
+table the stores create has its own location, lies in the process's
+temp directory rather than in the current one.
 """
 from __future__ import annotations
 
 import os
+import tempfile
 
 from pyspark.sql import SparkSession
 
@@ -22,5 +26,9 @@ def get_spark(app: str) -> SparkSession:
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config(
+            "spark.sql.warehouse.dir",
+            os.path.join(tempfile.gettempdir(), "spark-warehouse"),
+        )
         .getOrCreate()
     )

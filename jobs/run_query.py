@@ -3,7 +3,10 @@
 
 Prints the Join Tree's nodes, the Spark SQL statement they compile to,
 its parameters and the predicate dictionary entries it uses (the store
-names every predicate ``p<i>``), then the result. The store lives in a
+names every predicate ``p<i>``), then the row count, the result, and
+the Spark physical plan that ran with its number of ``Exchange``
+operators (shuffles; a subject join of two stored nodes needs none,
+as VP and PT are bucketed on the subject). The store lives in a
 temporary directory removed on exit.
 
 Usage::
@@ -19,7 +22,7 @@ from pathlib import Path
 
 from _session import get_spark
 
-from repro.core.executor import compile_tree
+from repro.core.executor import compile_tree, count_exchanges, executed_plan
 from repro.core.prost import Prost
 from repro.rdf.triples import to_spark
 from repro.rdf.watdiv import watdiv_pandas
@@ -54,8 +57,12 @@ def main() -> None:
         used = sorted({tp.predicate for tp in query.patterns if tp.predicate in stats})
         print("predicate dictionary:", ", ".join(f"{stats.column(p)} = {p}" for p in used))
         result = statement.run(spark)
-        print(f"{result.count()} rows")
+        rows, plan = executed_plan(result)
+        print(f"{rows} rows")
         result.show(args.show, truncate=False)
+        print("Spark plan that ran:")
+        print(plan.toString())
+        print(f"{count_exchanges(plan)} Exchange operators")
         spark.stop()
 
 

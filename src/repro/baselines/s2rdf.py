@@ -27,6 +27,8 @@ identical; only the job count differs.
 Queries compile through PRoST's statement builder
 (:mod:`repro.core.executor`): the VP and ExtVP datasets are temp views,
 and each pattern's table is one of them narrowed by fixed equalities.
+Unlike PRoST's, they are not bucketed on the subject (S2RDF does not
+bucket), so every join shuffles both of its inputs.
 """
 from __future__ import annotations
 

@@ -21,13 +21,18 @@ Every constant is bound as a named parameter, never spliced into the
 text, and every identifier is backtick-quoted. Patterns binding no
 variables (fully constant) compile to a 0/1-row existence relation
 that enters the statement as a cross join.
+
+:func:`executed_plan` runs a statement's own physical plan and returns
+the plan that ran; :func:`plan_nodes` walks it, so a caller can count
+the shuffles (``Exchange`` operators) the subject buckets saved.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
+from py4j.java_gateway import JavaObject
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.jointree import JoinTree, Node, PTNode, VPNode, build_join_tree
@@ -139,7 +144,7 @@ def pt_node_sql(store: ProstStore, node: PTNode, param: _Params) -> tuple[str, l
         else:
             star.where.append(f"{col} IS NOT NULL")
             star.match(tp.o, col)
-    return star.sql(quote(store.pt_view) + explodes)
+    return star.sql(quote(store.pt_name) + explodes)
 
 
 def _empty_sql(node: Node) -> tuple[str, list[str]]:
@@ -191,7 +196,7 @@ def compile_statement(
 
 def _prost_node_sql(store: ProstStore, node: Node, param: _Params) -> tuple[str, list[str]]:
     if isinstance(node, VPNode):
-        rel = vp_relation(store.vp_view, store.stats, node.pattern.predicate)
+        rel = vp_relation(store.vp_name, store.stats, node.pattern.predicate)
         return vp_node_sql(rel, node.pattern, param)
     return pt_node_sql(store, node, param)
 
@@ -220,3 +225,33 @@ def execute(store: ProstStore, query: Query, mode: str = "mixed") -> DataFrame:
     projected variable."""
     tree = build_join_tree(query, store.stats, mode=mode)
     return execute_tree(store, tree, query)
+
+
+def executed_plan(df: DataFrame) -> tuple[int, JavaObject]:
+    """Run *df*'s own physical plan once (a ``count()`` would plan an
+    aggregate on top); return its row count and the plan that ran, the
+    final one under adaptive execution."""
+    qe = df._jdf.queryExecution()
+    rows = qe.toRdd().count()
+    return rows, qe.executedPlan()
+
+
+def plan_nodes(plan: JavaObject) -> Iterator[JavaObject]:
+    """The operators of a physical *plan*, parents first, seen through
+    adaptive plans and query stages."""
+    yield plan
+    name = plan.nodeName()
+    if name == "AdaptiveSparkPlan":
+        children = [plan.executedPlan()]
+    elif name.endswith("QueryStage"):
+        children = [plan.plan()]
+    else:
+        seq = plan.children()
+        children = [seq.apply(i) for i in range(seq.size())]
+    for child in children:
+        yield from plan_nodes(child)
+
+
+def count_exchanges(plan: JavaObject) -> int:
+    """The shuffles in *plan* (reused ones not counted again)."""
+    return sum(node.nodeName() == "Exchange" for node in plan_nodes(plan))

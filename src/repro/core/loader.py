@@ -12,20 +12,24 @@ Mirrors §3.1 of the paper:
   predicates (detected from the statistics) become ``array<string>``
   columns; single-valued ones are plain strings, NULL where absent.
   Stored in Parquet — run-length/dictionary encoding absorbs the NULLs,
-  exactly the paper's argument for the format — and hash-partitioned
-  (repartitioned) on the subject column so each subject's row lives in
-  one file. Spark sizes the partition count from the data volume
-  (adaptive execution coalesces the shuffle), so a small graph's PT is
-  one file and a large one's is split into files of about 64 MB.
+  exactly the paper's argument for the format.
 
-``ProstStore.load`` writes both to Parquet under ``path`` and reads
-them back, so queries scan Parquet as the paper's HDFS deployment does
-and the store's size on disk is measurable. It registers the read-back
-VP dataset and PT as temp views under names unique to the store: the
-executor's SQL statements read them by name.
+Both are hash-partitioned on the subject (§3.1) in a way the query
+planner can see: ``ProstStore.load`` writes each as a Spark bucketed
+catalog table, ``CLUSTERED BY (s) SORTED BY (s) INTO n BUCKETS`` with
+the same *n* (:func:`bucket_count`, from the triple count and Spark's
+advisory partition size, so 1 for graphs up to about a million
+triples). A join of two stored nodes on their subject variable
+therefore needs no shuffle on either side, and a PT node joined on its
+subject shuffles only the other side. The tables live in Parquet under
+``path`` (``vp/pred=p<i>/`` and ``pt/``, one file per predicate and
+bucket), so the store's size on disk is measurable; their catalog names
+are unique to the store, and the executor's SQL statements read them by
+name.
 """
 from __future__ import annotations
 
+import math
 import os
 import uuid
 from dataclasses import dataclass
@@ -39,7 +43,7 @@ from repro.rdf.triples import canonicalize
 
 @dataclass(frozen=True)
 class Relation:
-    """An ``(s, o)`` relation: a temp view narrowed by fixed
+    """An ``(s, o)`` relation: a table or view narrowed by fixed
     ``column = value`` equalities."""
 
     view: str
@@ -53,9 +57,14 @@ class Relation:
         return df.select("s", "o")
 
 
+def unique_name(prefix: str) -> str:
+    """A fresh table or view name starting with *prefix*."""
+    return f"{prefix}_{uuid.uuid4().hex}"
+
+
 def register_view(df: DataFrame, prefix: str) -> str:
     """Register *df* as a temp view under a fresh name; return the name."""
-    name = f"{prefix}_{uuid.uuid4().hex}"
+    name = unique_name(prefix)
     df.createTempView(name)
     return name
 
@@ -106,6 +115,47 @@ def build_property_table(triples: DataFrame, stats: GraphStats) -> DataFrame:
     return triples.groupBy("s").agg(*aggs)
 
 
+#: estimated bytes of one ``(s, o)`` row in Spark's row format: two
+#: short IRI strings plus the row's fixed-width part
+ROW_BYTES = 64
+
+
+def bucket_count(stats: GraphStats, bucket_bytes: int) -> int:
+    """Subject buckets for the graph of *stats*: as many as it takes to
+    keep each bucket's VP rows near *bucket_bytes* (Spark's advisory
+    partition size, the size adaptive execution coalesces shuffles
+    to), and at least one."""
+    n_triples = sum(st.n_triples for st in stats.by_predicate.values())
+    return max(1, math.ceil(n_triples * ROW_BYTES / bucket_bytes))
+
+
+def write_bucketed(
+    df: DataFrame, path: str, prefix: str, n: int, partition_by: str | None = None
+) -> str:
+    """Write *df* to Parquet at *path* as a new catalog table bucketed
+    into *n* subject buckets; return the table's name.
+
+    The table is created with an explicit schema and ``LOCATION``, then
+    filled by an overwriting ``insertInto``, which replaces an earlier
+    store at *path*. Each (partition, bucket) pair is one file, as the
+    rows are repartitioned by the bucket hash before the write.
+    """
+    spark = df.sparkSession
+    name = unique_name(prefix)
+    if partition_by:  # insertInto matches columns by position, partitions last
+        df = df.select(*(c for c in df.columns if c != partition_by), partition_by)
+    schema = ", ".join(f"`{f.name}` {f.dataType.simpleString()}" for f in df.schema)
+    partitioned = f"PARTITIONED BY (`{partition_by}`) " if partition_by else ""
+    os.makedirs(path, exist_ok=True)  # Spark warns when LOCATION does not exist
+    spark.sql(
+        f"CREATE TABLE `{name}` ({schema}) USING parquet {partitioned}"
+        f"CLUSTERED BY (`s`) SORTED BY (`s`) INTO {n} BUCKETS LOCATION :path",
+        args={"path": path},
+    )
+    df.repartition(n, F.col("s")).write.insertInto(name, overwrite=True)
+    return name
+
+
 def write_and_read(df: DataFrame, path: str, *partition_by: str) -> DataFrame:
     """Write *df* to Parquet at *path* and read it back.
 
@@ -124,43 +174,43 @@ class ProstStore:
     spark: SparkSession
     stats: GraphStats
     multi_valued: set[str]
-    #: temp view names of the VP dataset and the PT, unique to the store
-    vp_view: str
-    pt_view: str
+    #: catalog table names of the VP dataset and the PT, unique to the store
+    vp_name: str
+    pt_name: str
     path: str
 
     @classmethod
     def load(cls, spark: SparkSession, triples: DataFrame, *, path: str) -> "ProstStore":
         """Build the store from a triple DataFrame: VP and PT are
-        written to ``{path}/vp`` and ``{path}/pt`` in Parquet and read
-        back, and queries scan the read-back tables."""
+        written to ``{path}/vp`` and ``{path}/pt`` as bucketed Parquet
+        tables, and queries scan those tables."""
         triples = canonicalize(triples)
         stats = GraphStats.compute(triples)
+        # the same subject buckets for VP and PT (§3.1), so subject
+        # joins between them are co-partitioned
+        advisory = spark.conf.get("spark.sql.adaptive.advisoryPartitionSizeInBytes")
+        byte_string = spark._jvm.org.apache.spark.network.util.JavaUtils.byteStringAsBytes
+        n = bucket_count(stats, byte_string(advisory))
 
-        vp = write_and_read(build_vp(triples, stats), os.path.join(path, "vp"), "pred")
-        # Horizontal partitioning on the subject column (§3.1): a hash
-        # repartition keeps every subject row in one partition; with no
-        # fixed count, Spark sizes the partitions.
-        pt = build_property_table(triples, stats).repartition(F.col("s"))
-        pt = write_and_read(pt, os.path.join(path, "pt"))
-
+        vp = build_vp(triples, stats)
+        pt = build_property_table(triples, stats)
         return cls(
             spark=spark,
             stats=stats,
             multi_valued=stats.multi_valued(),
-            vp_view=register_view(vp, "prost_vp"),
-            pt_view=register_view(pt, "prost_pt"),
+            vp_name=write_bucketed(vp, os.path.join(path, "vp"), "prost_vp", n, "pred"),
+            pt_name=write_bucketed(pt, os.path.join(path, "pt"), "prost_pt", n),
             path=path,
         )
 
     # ------------------------------------------------------------------
     def vp_table(self, predicate: str) -> DataFrame:
         """The ``(s, o)`` VP table of *predicate* (empty if unused)."""
-        return vp_relation(self.vp_view, self.stats, predicate).rows(self.spark)
+        return vp_relation(self.vp_name, self.stats, predicate).rows(self.spark)
 
     @property
     def property_table(self) -> DataFrame:
-        return self.spark.table(self.pt_view)
+        return self.spark.table(self.pt_name)
 
     def is_multi_valued(self, predicate: str) -> bool:
         return predicate in self.multi_valued
@@ -168,4 +218,4 @@ class ProstStore:
     def triples_back(self) -> DataFrame:
         """Reconstruct the triple table from VP (test/round-trip helper)."""
         pred = literal_map(self.stats.predicate_of)[F.col("pred")]
-        return self.spark.table(self.vp_view).select("s", pred.alias("p"), "o")
+        return self.spark.table(self.vp_name).select("s", pred.alias("p"), "o")

@@ -4,10 +4,15 @@ from __future__ import annotations
 import os
 
 import pandas as pd
+import pytest
 from pyspark.sql import functions as F
 
+from repro.core.executor import executed_plan, plan_nodes
+from repro.core.loader import bucket_count
 from repro.core.prost import Prost
+from repro.core.stats import GraphStats, PredicateStats
 from repro.rdf.triples import to_spark
+from repro.rdf.watdiv import watdiv_pandas
 
 
 def column(prost: Prost, predicate: str) -> str:
@@ -142,7 +147,7 @@ def graph(tag: str) -> pd.DataFrame:
 
 
 class TestViews:
-    """Each store's SQL reads its own temp views, and no other store's."""
+    """Each store's SQL reads its own tables, and no other store's."""
 
     STAR = "SELECT * WHERE { ?s wsdbm:likes ?l . ?s foaf:age ?a . }"
 
@@ -163,8 +168,86 @@ class TestViews:
         assert self.answers(two) == {"b0", "b1", "b2"}
         assert self.answers(reloaded) == {"d0", "d1", "d2"}
         stores = [p.store for p in (one, two, first, reloaded)]
-        views = [v for st in stores for v in (st.vp_view, st.pt_view)]
-        assert len(set(views)) == len(views)
+        names = [n for st in stores for n in (st.vp_name, st.pt_name)]
+        assert len(set(names)) == len(names)
+
+
+#: Spark's default ``spark.sql.adaptive.advisoryPartitionSizeInBytes``
+ADVISORY_BYTES = 64 * 2**20
+
+
+def stats_of(triples_pd: pd.DataFrame) -> GraphStats:
+    """The §3.3 statistics of a pandas triple table, without Spark."""
+    grouped = triples_pd.groupby("p")["s"].agg(["size", "nunique"])
+    return GraphStats({p: PredicateStats(int(n), int(ds)) for p, (n, ds) in grouped.iterrows()})
+
+
+class TestBucketCount:
+    def test_one_bucket_at_benchmark_scale(self):
+        stats = stats_of(watdiv_pandas(scale=1.0, seed=1))
+        assert bucket_count(stats, ADVISORY_BYTES) == 1
+
+    def test_one_bucket_for_the_empty_graph(self):
+        assert bucket_count(GraphStats({}), ADVISORY_BYTES) == 1
+
+    def test_grows_with_volume(self):
+        counts = [
+            bucket_count(GraphStats({"p": PredicateStats(n, n)}), ADVISORY_BYTES)
+            for n in (10**5, 10**6, 10**7, 10**8)
+        ]
+        assert counts == sorted(counts)
+        assert counts[0] == 1 < counts[-1]
+        assert bucket_count(GraphStats({"p": PredicateStats(10**8, 1)}), ADVISORY_BYTES // 2) > counts[-1]
+
+
+def join_sides(df) -> list[tuple[str, bool]]:
+    """Run *df*, whose plan has one join; for each input of the join,
+    the scan operators it holds (their names carry the table names) and
+    whether it is shuffled (holds an ``Exchange``)."""
+    rows, plan = executed_plan(df)
+    assert rows > 0
+    (join,) = [n for n in plan_nodes(plan) if n.nodeName() == "SortMergeJoin"]
+    sides = []
+    for side in (join.left(), join.right()):
+        names = [n.nodeName() for n in plan_nodes(side)]
+        sides.append((" ".join(n for n in names if n.startswith("Scan")), "Exchange" in names))
+    return sides
+
+
+class TestSubjectBuckets:
+    """§3.1's subject partitioning as the planner sees it: VP and PT are
+    bucketed on the subject, so a join on the subject of two stored
+    nodes reads both without a shuffle."""
+
+    VP_STAR = "SELECT * WHERE { ?x wsdbm:likes ?a . ?x wsdbm:friendOf ?b . }"
+    PT_VP = "SELECT * WHERE { ?x wsdbm:likes ?a . ?x wsdbm:friendOf ?b . ?y wsdbm:follows ?x . }"
+
+    def test_vp_subject_join_does_not_shuffle(self, prost):
+        sides = join_sides(prost.query(self.VP_STAR, "vp"))
+        assert [shuffled for _scans, shuffled in sides] == [False, False]
+        assert all(prost.store.vp_name in scans for scans, _ in sides)
+
+    def test_pt_side_of_a_subject_join_does_not_shuffle(self, prost):
+        """The PT star on ``?x`` joins ``?y follows ?x``: only the VP
+        side, joined on its object, is shuffled."""
+        sides = join_sides(prost.query(self.PT_VP, "mixed"))
+        shuffled = {("pt" if prost.store.pt_name in scans else "vp"): s for scans, s in sides}
+        assert shuffled == {"pt": False, "vp": True}
+
+    def test_s2rdf_still_shuffles(self, s2rdf):
+        """S2RDF's VP and ExtVP are not bucketed (DESIGN.md §3): both
+        sides of the same subject join are shuffled."""
+        sides = join_sides(s2rdf.query(self.VP_STAR))
+        assert [shuffled for _scans, shuffled in sides] == [True, True]
+
+    @pytest.mark.parametrize("table", ["vp", "pt"])
+    def test_one_bucket_file_per_partition(self, prost, table):
+        """Repartitioned by the bucket hash before the write: one file
+        per predicate (VP) and one for the PT at test scale."""
+        root = os.path.join(prost.store.path, table)
+        dirs = [os.path.join(root, d) for d in os.listdir(root) if d.startswith("pred=")] or [root]
+        for d in dirs:
+            assert len([f for f in os.listdir(d) if f.endswith(".parquet")]) == 1
 
 
 class TestStatsWiring:
