@@ -43,7 +43,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="prost_tables_") as tmp:
         spark = get_spark("paper-tables")
         tpd = watdiv_pandas(scale=args.scale, seed=args.seed)
-        systems = load_all_systems(spark, to_spark(spark, tpd), tpd, args.out_dir or tmp)
+        systems = load_all_systems(spark, to_spark(spark, tpd), args.out_dir or tmp)
         print(f"WatDiv-lite scale={args.scale}: {len(tpd)} triples")
         print(format_table(loading_table(systems), "Table 1: size and loading time"))
 

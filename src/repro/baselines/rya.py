@@ -17,12 +17,14 @@ would simulate a system Rya is not. Join order uses Rya's simple
 reordering: most-bound patterns first, then smaller predicate extents,
 kept connected by the walk every planner here shares.
 
-:meth:`RyaStore.load_distributed` persists the three indexes as sorted
-plain-text key files (the laptop-scale stand-in for Accumulo RFiles —
-row-key storage, one full triple per key, no columnar compression),
-written by Spark sort + write jobs that mirror Rya's MapReduce
-bulk-ingest path, so Table 1 can measure size on disk. Plain
-:meth:`RyaStore.load` builds only the in-memory indexes on the driver.
+:meth:`RyaStore.load` has the ``load(spark, triples, *, path)`` of every
+store here. It collects the deduplicated graph to the driver, builds
+the in-memory indexes from it, and persists the same triples under
+*path* as three sorted plain-text key files (the laptop-scale stand-in
+for Accumulo RFiles — row-key storage, one full triple per key, no
+columnar compression). Spark sort + write jobs write them, mirroring
+Rya's MapReduce bulk-ingest path, and Table 1 measures their size on
+disk.
 Querying always runs from the in-memory indexes (Accumulo tablets are
 memory/SSD-resident on the region servers). The BatchScanner's network
 round-trips are charged by the Table-2 harness from
@@ -35,7 +37,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import pandas as pd
+from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 
+from repro.rdf.triples import canonicalize, to_spark
 from repro.sparql.algebra import Query, TriplePattern, connected_order, is_const
 from repro.sparql.parser import parse
 
@@ -98,25 +103,15 @@ class RyaStore:
     last_probes: int = 0
 
     @classmethod
-    def load(cls, triples_pd: pd.DataFrame) -> "RyaStore":
-        """Sort the graph three ways on the driver into the in-memory
-        query indexes."""
-        t = triples_pd[["s", "p", "o"]].drop_duplicates().reset_index(drop=True)
-        indexes = {name: _Index(t, order) for name, order in INDEX_ORDERS.items()}
-        counts = t["p"].value_counts().to_dict()
-        return cls(indexes=indexes, pred_counts=counts)
-
-    @classmethod
-    def load_distributed(
-        cls, spark, triples, triples_pd: pd.DataFrame, *, path: str
-    ) -> "RyaStore":
-        """Bulk ingest via Spark: one global sort + text write per index
-        order (the stand-in for Rya's MapReduce bulk-ingest into
-        Accumulo). The in-memory query indexes are then built as in
-        :meth:`load`; the on-disk key files are what Table 1 measures.
-        """
-        from pyspark.sql import functions as F
-
+    def load(cls, spark: SparkSession, triples: DataFrame, *, path: str) -> "RyaStore":
+        """Collect the deduplicated graph to the driver, where the
+        query indexes live, then bulk-ingest that same set via Spark:
+        one global sort + text write per index order under *path* (the
+        stand-in for Rya's MapReduce bulk-ingest into Accumulo), which
+        Table 1 measures. Key files and in-memory indexes thus hold
+        the same keys."""
+        t = canonicalize(triples).toPandas()
+        triples = to_spark(spark, t)
         for name, order in INDEX_ORDERS.items():
             (
                 triples.orderBy(*order)
@@ -125,7 +120,8 @@ class RyaStore:
                 .write.mode("overwrite")
                 .text(os.path.join(path, name))
             )
-        return cls.load(triples_pd)
+        indexes = {name: _Index(t, order) for name, order in INDEX_ORDERS.items()}
+        return cls(indexes=indexes, pred_counts=t["p"].value_counts().to_dict())
 
     # ------------------------------------------------------------------
     def _order(self, query: Query) -> list[TriplePattern]:

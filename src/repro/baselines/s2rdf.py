@@ -43,7 +43,7 @@ from repro.core.jointree import VPNode, build_join_tree
 from repro.core.loader import Relation, build_vp, register_view, vp_relation, write_and_read
 from repro.core.stats import GraphStats
 from repro.rdf.triples import canonicalize
-from repro.sparql.algebra import Query, is_var
+from repro.sparql.algebra import Query, TriplePattern, is_var
 from repro.sparql.parser import parse
 
 #: the reduction kinds S2RDF materialises by default
@@ -131,12 +131,12 @@ class S2RDFStore:
         return None if rel is None else rel.rows(self.spark)
 
     # ------------------------------------------------------------------
-    def _best_table(self, query: Query, i: int) -> Relation:
-        """Smallest applicable ExtVP table for pattern *i*, else VP."""
-        tp = query.patterns[i]
+    def _best_table(self, query: Query, tp: TriplePattern) -> Relation:
+        """Smallest applicable ExtVP table for pattern *tp* of *query*,
+        else VP."""
         best: tuple[int, str, str] | None = None  # (count, kind, p2)
-        for j, other in enumerate(query.patterns):
-            if j == i:
+        for other in query.patterns:
+            if other is tp:
                 continue
             for kind, a, b in (
                 ("ss", tp.s, other.s),
@@ -162,11 +162,10 @@ class S2RDFStore:
         query = parse(sparql) if isinstance(sparql, str) else sparql
         query.validate()
         tree = build_join_tree(query, self.stats, mode="vp")
-        index_of = {id(tp): i for i, tp in enumerate(query.patterns)}
 
         def node_sql(node, param):
             assert isinstance(node, VPNode)
-            rel = self._best_table(query, index_of[id(node.pattern)])
+            rel = self._best_table(query, node.pattern)
             return vp_node_sql(rel, node.pattern, param)
 
         return compile_statement(query, tree.execution_order, self.stats, node_sql).run(

@@ -62,9 +62,10 @@ def timed(fn: Callable[[], object]) -> tuple[float, object]:
 
 @dataclass(frozen=True)
 class System:
-    """How to load one system and how to run a query on its store."""
+    """One system: its store class, loaded by ``cls.load(spark, triples,
+    path=path)``, and how to run a query on a loaded store."""
 
-    load: Callable[[SparkSession, DataFrame, pd.DataFrame, str], object]
+    cls: type
     run: Callable[[object, str], int]  # (store, SPARQL text) -> result row count
 
 
@@ -78,40 +79,29 @@ class LoadedSystem:
     run_query: Callable[[str], int]  # SPARQL text -> result row count
 
 
-def _spark_system(cls) -> System:
-    return System(
-        lambda spark, triples, _triples_pd, path: cls.load(spark, triples, path=path),
-        lambda store, sparql: store.query(sparql).count(),
-    )
+def _count_rows(store, sparql: str) -> int:
+    return store.query(sparql).count()
 
 
-#: the four systems in the paper's Table 2 order, each with how to load
-#: it and how to run one query on it (returning the result row count)
+#: the four systems in the paper's Table 2 order, each with its store
+#: class and how to run one query on it (returning the result row count)
 SYSTEMS: dict[str, System] = {
-    "PRoST": _spark_system(Prost),
-    "S2RDF": _spark_system(S2RDFStore),
-    "Rya": System(
-        lambda spark, triples, triples_pd, path: RyaStore.load_distributed(
-            spark, triples, triples_pd, path=path
-        ),
-        lambda rya, sparql: len(rya_query(rya, sparql)),
-    ),
-    "SPARQLGX": _spark_system(SparqlGXStore),
+    "PRoST": System(Prost, _count_rows),
+    "S2RDF": System(S2RDFStore, _count_rows),
+    "Rya": System(RyaStore, lambda rya, sparql: len(rya_query(rya, sparql))),
+    "SPARQLGX": System(SparqlGXStore, _count_rows),
 }
 
 
 def load_all_systems(
-    spark: SparkSession,
-    triples: DataFrame,
-    triples_pd: pd.DataFrame,
-    base_dir: str,
+    spark: SparkSession, triples: DataFrame, base_dir: str
 ) -> dict[str, LoadedSystem]:
     """Load the graph into all four stores, timing each (Table 1).
     Each store goes in ``base_dir/<name in lower case>``."""
     out: dict[str, LoadedSystem] = {}
     for name, system in SYSTEMS.items():
         path = os.path.join(base_dir, name.lower())
-        secs, store = timed(lambda: system.load(spark, triples, triples_pd, path))
+        secs, store = timed(lambda: system.cls.load(spark, triples, path=path))
         out[name] = LoadedSystem(store, secs, dir_size(path), partial(system.run, store))
     return out
 

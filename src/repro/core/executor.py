@@ -6,10 +6,10 @@ physical plan to Catalyst — exactly the division of labour the paper
 describes (§3.3: "Spark intervenes in producing optimized physical
 plans"):
 
-- a VP node is a subquery over the store's VP view narrowed by
-  ``pred = :p`` (the S2RDF baseline passes its ExtVP view and
-  equality filters instead);
-- a PT node is a subquery over the Property Table view, with one
+- a VP node is a subquery over the store's VP table (a catalog table
+  bucketed on the subject) narrowed by ``pred = :p`` (the S2RDF
+  baseline passes its ExtVP view and equality filters instead);
+- a PT node is a subquery over the bucketed Property Table, with one
   ``LATERAL VIEW explode`` per unbound multi-valued pattern and
   ``IS NOT NULL``, ``=`` and ``array_contains`` predicates — no joins,
   the whole point of the PT;

@@ -20,9 +20,9 @@ TRIPLE_SCHEMA = T.StructType(
     ]
 )
 
-def to_spark(spark: SparkSession, triples_pd: pd.DataFrame) -> DataFrame:
+def to_spark(spark: SparkSession, graph: pd.DataFrame) -> DataFrame:
     """Lift a pandas ``(s,p,o)`` frame to Spark with the canonical schema."""
-    return spark.createDataFrame(triples_pd[["s", "p", "o"]], schema=TRIPLE_SCHEMA)
+    return spark.createDataFrame(graph[["s", "p", "o"]], schema=TRIPLE_SCHEMA)
 
 
 def canonicalize(triples: DataFrame) -> DataFrame:

@@ -1,6 +1,6 @@
 """Session-scoped fixtures shared across the test suite.
 
-Every Spark-backed store is loaded once per session from the same
+Every store is loaded once per session from the same
 deterministic WatDiv-lite graph (``REPRO_TEST_SCALE``, default 0.2 ≈
 8 K triples) into a pytest temp directory, so the suite runs in minutes
 on the same on-disk layout the jobs and the benchmark query, while
@@ -55,10 +55,10 @@ def sparqlgx(spark, triples, tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def rya(triples_pd):
+def rya(spark, triples, tmp_path_factory):
     from repro.baselines.rya import RyaStore
 
-    return RyaStore.load(triples_pd)
+    return RyaStore.load(spark, triples, path=str(tmp_path_factory.mktemp("rya")))
 
 
 @pytest.fixture(scope="session")

@@ -121,7 +121,7 @@ def test_graph_loads_and_matches_oracle(spark, tmp_path, graph, queries, spellin
         "s2rdf": S2RDFStore.load(spark, triples, path=str(tmp_path / "s2rdf")).query,
         "sparqlgx": SparqlGXStore.load(spark, triples, path=str(tmp_path / "gx")).query,
     }
-    rya = RyaStore.load(graph)
+    rya = RyaStore.load(spark, triples, path=str(tmp_path / "rya"))
     rows = {}  # (engine, spelling) -> sorted result rows
     for sparql in queries:
         query = parse(sparql)

@@ -1,12 +1,14 @@
 """Unit tests for the benchmark harness (no Spark needed)."""
 from __future__ import annotations
 
+import inspect
 import os
 import time
 
 import pandas as pd
 
 from repro.bench.harness import (
+    SYSTEMS,
     LoadedSystem,
     dir_size,
     format_table,
@@ -38,6 +40,20 @@ class TestTimed:
         assert len(calls) == 3 * len(QUERIES)
         assert all(calls.count(q) == 3 for q in QUERIES.values())
         assert (table["X"] >= 0).all()
+
+
+class TestSystems:
+    def test_every_store_loads_with_one_signature(self):
+        """``load_all_systems`` calls ``cls.load(spark, triples, path=path)``
+        for every system, so every store class must take exactly that."""
+        expected = [
+            ("spark", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+            ("triples", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+            ("path", inspect.Parameter.KEYWORD_ONLY),
+        ]
+        for name, system in SYSTEMS.items():
+            params = inspect.signature(system.cls.load).parameters.values()
+            assert [(p.name, p.kind) for p in params] == expected, name
 
 
 class TestDirSize:

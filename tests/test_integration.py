@@ -26,10 +26,9 @@ SCALE = 0.05
 
 @pytest.fixture(scope="module")
 def systems(spark, tmp_path_factory):
-    tpd = watdiv_pandas(scale=SCALE, seed=7)
-    triples = to_spark(spark, tpd)
+    triples = to_spark(spark, watdiv_pandas(scale=SCALE, seed=7))
     base = str(tmp_path_factory.mktemp("stores"))
-    return load_all_systems(spark, triples, tpd, base)
+    return load_all_systems(spark, triples, base)
 
 
 class TestLoadAllSystems:

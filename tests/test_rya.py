@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines.rya import INDEX_ORDERS, RyaStore, choose_index
 from repro.oracle import assert_equivalent_pd
+from repro.rdf.triples import to_spark
 from repro.sparql.parser import parse
 from repro.sparql.reference import bgp_to_sql
 from repro.sparql.watdiv_queries import QUERIES
@@ -23,9 +24,18 @@ TINY = pd.DataFrame(
 )
 
 
+def load(spark, graph: pd.DataFrame, path) -> RyaStore:
+    return RyaStore.load(spark, to_spark(spark, graph), path=str(path))
+
+
 @pytest.fixture(scope="module")
-def tiny():
-    return RyaStore.load(TINY)
+def tiny_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("tiny")
+
+
+@pytest.fixture(scope="module")
+def tiny(spark, tiny_path):
+    return load(spark, TINY, tiny_path)
 
 
 class TestIndexes:
@@ -62,14 +72,14 @@ class TestIndexes:
         # "u" must not match "u1": composite keys use a separator
         assert len(tiny.indexes["spo"].scan(("u",))) == 0
 
-    def test_full_triple_scan_is_exact(self):
+    def test_full_triple_scan_is_exact(self, spark, tmp_path):
         """Regression: a fully-bound probe must not prefix-match a
         longer value ("Topic1" vs "Topic10")."""
         df = pd.DataFrame(
             [("a", "tag", "Topic1"), ("a", "tag", "Topic10"), ("b", "tag", "Topic10")],
             columns=["s", "p", "o"],
         )
-        store = RyaStore.load(df)
+        store = load(spark, df, tmp_path)
         assert len(store.indexes["spo"].scan(("a", "tag", "Topic1"))) == 1
         assert len(store.indexes["spo"].scan(("b", "tag", "Topic1"))) == 0
         out = store.query(
@@ -149,13 +159,13 @@ def test_queries_match_oracle(rya, triples_pd, name):
     )
 
 
-def test_f4_oracle_at_scale_one():
+def test_f4_oracle_at_scale_one(spark, tmp_path):
     """Regression at a scale where entity ids collide as string
     prefixes (Topic1/Topic10) — the exact-probe bug's habitat."""
     from repro.rdf.watdiv import watdiv_pandas
 
     graph = watdiv_pandas(scale=1.0, seed=42)
-    store = RyaStore.load(graph)
+    store = load(spark, graph, tmp_path)
     sparql = QUERIES["F4"]
     assert_equivalent_pd(
         store.query(sparql), bgp_to_sql(parse(sparql)), triples=graph
@@ -171,32 +181,38 @@ class TestPersistence:
                 lines += f.read_text().splitlines()
         return lines
 
-    def test_indexes_written_as_sorted_key_files(self, spark, tmp_path):
+    def _assert_key_files_hold_keys(self, store, path):
+        for name in INDEX_ORDERS:
+            lines = self._key_lines(path / name)
+            assert sorted(lines) == sorted("\x1f".join(k) for k in store.indexes[name].keys)
+
+    def test_indexes_written_as_sorted_key_files(self, tiny, tiny_path):
         """The bulk ingest writes each index as one sorted key file
         holding one line per triple."""
-        from repro.rdf.triples import to_spark
-
-        RyaStore.load_distributed(
-            spark, to_spark(spark, TINY), TINY, path=str(tmp_path)
-        )
-        assert sorted(f.name for f in tmp_path.iterdir()) == ["osp", "pos", "spo"]
+        assert sorted(f.name for f in tiny_path.iterdir()) == ["osp", "pos", "spo"]
         for name in INDEX_ORDERS:
-            lines = self._key_lines(tmp_path / name)
+            lines = self._key_lines(tiny_path / name)
             assert len(lines) == len(TINY)
             assert lines == sorted(lines)
             assert all(len(line.split("\x1f")) == 3 for line in lines)
 
-    def test_distributed_ingest_matches_driver_load(self, spark, tmp_path):
-        """The key files hold the same keys the driver builds."""
-        from repro.rdf.triples import to_spark
+    def test_key_files_equal_in_memory_keys(self, tiny, tiny_path):
+        """The key files hold the same keys the query indexes do."""
+        assert tiny.pred_counts == {"likes": 3, "age": 2, "title": 1}
+        self._assert_key_files_hold_keys(tiny, tiny_path)
 
-        store = RyaStore.load_distributed(
-            spark, to_spark(spark, TINY), TINY, path=str(tmp_path)
+    def test_duplicate_triple_stored_once(self, spark, tmp_path):
+        """A graph is a set: a triple given twice is one key in every
+        key file and every in-memory index, and counted once."""
+        dup = pd.DataFrame(
+            [("u1", "likes", "p1"), ("u1", "likes", "p1"), ("u2", "likes", "p1")],
+            columns=["s", "p", "o"],
         )
-        assert store.pred_counts == {"likes": 3, "age": 2, "title": 1}
+        store = load(spark, dup, tmp_path)
         for name in INDEX_ORDERS:
-            lines = self._key_lines(tmp_path / name)
-            assert sorted(lines) == sorted("\x1f".join(k) for k in store.indexes[name].keys)
+            assert len(self._key_lines(tmp_path / name)) == 2
+        self._assert_key_files_hold_keys(store, tmp_path)
+        assert store.pred_counts == {"likes": 2}
 
     def test_pred_counts(self, tiny):
         assert tiny.pred_counts == {"likes": 3, "age": 2, "title": 1}
