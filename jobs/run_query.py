@@ -6,8 +6,9 @@ its parameters and the predicate dictionary entries it uses (the store
 names every predicate ``p<i>``), then the row count, the result, and
 the Spark physical plan that ran with its number of ``Exchange``
 operators (shuffles; a subject join of two stored nodes needs none,
-as VP and PT are bucketed on the subject). The store lives in a
-temporary directory removed on exit.
+as VP and PT are bucketed on the subject) and the number of generated
+classes Spark compiled to run it. The store lives in a temporary
+directory removed on exit.
 
 Usage::
 
@@ -22,7 +23,12 @@ from pathlib import Path
 
 from _session import get_spark
 
-from repro.core.executor import compile_tree, count_exchanges, executed_plan
+from repro.core.executor import (
+    compile_tree,
+    compiled_classes,
+    count_exchanges,
+    executed_plan,
+)
 from repro.core.prost import Prost
 from repro.rdf.triples import to_spark
 from repro.rdf.watdiv import watdiv_pandas
@@ -56,13 +62,16 @@ def main() -> None:
         stats = prost.store.stats
         used = sorted({tp.predicate for tp in query.patterns if tp.predicate in stats})
         print("predicate dictionary:", ", ".join(f"{stats.column(p)} = {p}" for p in used))
+        compiled = compiled_classes(spark)
         result = statement.run(spark)
         rows, plan = executed_plan(result)
+        compiled = compiled_classes(spark) - compiled
         print(f"{rows} rows")
         result.show(args.show, truncate=False)
         print("Spark plan that ran:")
         print(plan.toString())
         print(f"{count_exchanges(plan)} Exchange operators")
+        print(f"{compiled} generated classes compiled")
         spark.stop()
 
 

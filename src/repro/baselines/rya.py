@@ -21,7 +21,8 @@ kept connected by the walk every planner here shares.
 store here. It collects the deduplicated graph to the driver, builds
 the in-memory indexes from it, and persists the same triples under
 *path* as three sorted plain-text key files (the laptop-scale stand-in
-for Accumulo RFiles — row-key storage, one full triple per key, no
+for Accumulo RFiles — row-key storage, one full triple per key, one
+key per line, values escaped by ``repro.rdf.triples.escaped``, no
 columnar compression). Spark sort + write jobs write them, mirroring
 Rya's MapReduce bulk-ingest path, and Table 1 measures their size on
 disk.
@@ -40,7 +41,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.rdf.triples import canonicalize, to_spark
+from repro.rdf.triples import canonicalize, escaped, to_spark
 from repro.sparql.algebra import Query, TriplePattern, connected_order, is_const
 from repro.sparql.parser import parse
 
@@ -115,7 +116,7 @@ class RyaStore:
         for name, order in INDEX_ORDERS.items():
             (
                 triples.orderBy(*order)
-                .select(F.concat_ws(_SEP, *order).alias("value"))
+                .select(F.concat_ws(_SEP, *map(escaped, order)).alias("value"))
                 .coalesce(1)
                 .write.mode("overwrite")
                 .text(os.path.join(path, name))

@@ -10,9 +10,9 @@ predicate extents).
 This module reproduces both properties:
 
 - the store is a directory of tab-separated ``s\\to`` text files,
-  re-scanned from disk by every query (backslash, tab, newline and
-  carriage return are written as N-Triples-style escapes, so any value
-  stays inside one field of one line);
+  re-scanned from disk by every query (values are written through
+  ``repro.rdf.triples.escaped``, so any value stays inside one field
+  of one line);
 - evaluation folds the patterns into RDD joins of binding dictionaries
   (row-at-a-time Python processing — the RDD layer is the point here,
   per DESIGN.md, not a Catalyst plan).
@@ -24,7 +24,6 @@ the Figure 3 / Table 2 shape the paper reports).
 from __future__ import annotations
 
 import os
-import re
 from dataclasses import dataclass
 
 from pyspark.sql import DataFrame, SparkSession
@@ -33,25 +32,11 @@ from pyspark.sql import types as T
 
 from repro.core.loader import build_vp
 from repro.core.stats import GraphStats
-from repro.rdf.triples import canonicalize
+from repro.rdf.triples import canonicalize, escaped, unescaper
 from repro.sparql.algebra import Query, TriplePattern, connected_order, is_const, is_var
 from repro.sparql.parser import parse
 
 _SEP = "\t"
-
-#: N-Triples-style escapes that keep each value inside one field of one
-#: line (backslash first, so the others' backslashes are not re-escaped)
-_ESCAPES = (("\\", "\\\\"), ("\t", "\\t"), ("\n", "\\n"), ("\r", "\\r"))
-_ESCAPED = re.compile(r"\\(.)")
-_UNESCAPES = {esc[1]: raw for raw, esc in _ESCAPES}
-
-
-def _escaped(col: str):
-    """Column *col* with :data:`_ESCAPES` applied."""
-    out = F.col(col)
-    for raw, esc in _ESCAPES:
-        out = F.replace(out, F.lit(raw), F.lit(esc))
-    return out
 
 
 def _pattern_rdd(sc, path: str, tp: TriplePattern):
@@ -60,11 +45,7 @@ def _pattern_rdd(sc, path: str, tp: TriplePattern):
     o_const = tp.o.value if is_const(tp.o) else None
     s_var = tp.s.name if is_var(tp.s) else None
     o_var = tp.o.name if is_var(tp.o) else None
-
-    def unescape(field: str) -> str:
-        if "\\" not in field:
-            return field
-        return _ESCAPED.sub(lambda m: _UNESCAPES[m.group(1)], field)
+    unescape = unescaper()
 
     def to_binding(line: str):
         s, o = map(unescape, line.split(_SEP, 1))
@@ -121,7 +102,7 @@ class SparqlGXStore:
         data_path = os.path.join(path, "vp_text")
         (
             build_vp(triples, stats)
-            .select("pred", F.concat_ws(_SEP, _escaped("s"), _escaped("o")).alias("value"))
+            .select("pred", F.concat_ws(_SEP, escaped("s"), escaped("o")).alias("value"))
             .write.partitionBy("pred")
             .mode("overwrite")
             .text(data_path)

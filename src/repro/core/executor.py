@@ -25,6 +25,8 @@ that enters the statement as a cross join.
 :func:`executed_plan` runs a statement's own physical plan and returns
 the plan that ran; :func:`plan_nodes` walks it, so a caller can count
 the shuffles (``Exchange`` operators) the subject buckets saved.
+:func:`compiled_classes` counts the generated classes Spark has
+compiled, so a caller can see what a run spent compiling.
 """
 from __future__ import annotations
 
@@ -255,3 +257,11 @@ def plan_nodes(plan: JavaObject) -> Iterator[JavaObject]:
 def count_exchanges(plan: JavaObject) -> int:
     """The shuffles in *plan* (reused ones not counted again)."""
     return sum(node.nodeName() == "Exchange" for node in plan_nodes(plan))
+
+
+def compiled_classes(spark: SparkSession) -> int:
+    """Generated classes this JVM has compiled so far. Spark compiles a
+    class only when its codegen cache misses, so the difference over a
+    run is the number of compilations that run paid for."""
+    metrics = spark._jvm.org.apache.spark.metrics.source.CodegenMetrics
+    return metrics.METRIC_SOURCE_CODE_SIZE().getCount()

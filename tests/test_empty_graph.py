@@ -12,9 +12,10 @@ Three graphs, each with its own queries:
 - ``literals``: values an index or a text file can mangle: non-ASCII
   objects (``école`` sorts above ``\\x7f``, a CJK string), ``a`` next
   to ``a\\tb`` and a subject ``a\\t`` (a tab sorts below any key
-  separator), a newline, a carriage return, a quote, a backslash and
-  an SQL-shaped string. A query that spells the tab as ``\\t`` must
-  return the same rows as one with a raw tab.
+  separator), a newline, a carriage return, Rya's key separator
+  ``\\x1f``, a quote, a backslash and an SQL-shaped string. A query
+  that spells the tab as ``\\t`` must return the same rows as one with
+  a raw tab.
 
 PRoST (mixed and VP-only), S2RDF, SPARQLGX and Rya each answer every
 query, diffed against the DuckDB reference through ``oracle.py``.
@@ -79,6 +80,7 @@ LITERALS = pd.DataFrame(
         ("d", "ex:p", "a\tb"),
         ("e", "ex:p", "line1\nline2"),
         ("i", "ex:p", "cr\rlf"),
+        ("j", "ex:p", "unit\x1fsep"),
         ("f", "ex:p", 'say "hi"'),
         ("g", "ex:p", "back\\slash"),
         ("h", "ex:p", "x'); DROP TABLE vp; --"),

@@ -4,12 +4,13 @@ from __future__ import annotations
 import pandas as pd
 import pytest
 
-from repro.baselines.rya import INDEX_ORDERS, RyaStore, choose_index
+from repro.baselines.rya import _SEP, INDEX_ORDERS, RyaStore, choose_index
 from repro.oracle import assert_equivalent_pd
-from repro.rdf.triples import to_spark
+from repro.rdf.triples import to_spark, unescaper
 from repro.sparql.parser import parse
 from repro.sparql.reference import bgp_to_sql
 from repro.sparql.watdiv_queries import QUERIES
+from tests.test_empty_graph import LITERALS
 
 TINY = pd.DataFrame(
     [
@@ -92,6 +93,19 @@ class TestIndexes:
 
     def test_osp_scan_by_object(self, tiny):
         assert len(tiny.indexes["osp"].scan(("p1",))) == 2
+
+    def test_key_files_hold_the_keys(self, spark, tmp_path):
+        """Each key file holds one line per key, also for values with a
+        line break or the key separator; unescaped, its lines are the
+        in-memory keys in index order."""
+        store = load(spark, LITERALS, tmp_path)
+        unescape = unescaper()
+        for name, index in store.indexes.items():
+            (part,) = (tmp_path / name).glob("part-*")
+            lines = part.read_bytes().decode("utf-8").split("\n")
+            assert lines.pop() == ""
+            keys = [tuple(map(unescape, line.split(_SEP))) for line in lines]
+            assert keys == index.keys, name
 
     def test_row_roundtrip(self, tiny):
         idx = tiny.indexes["pos"]
