@@ -1,9 +1,11 @@
 #!/usr/bin/env python
 """Run one WatDiv query (or arbitrary SPARQL) on PRoST.
 
-Prints the Join Tree's nodes, the Spark SQL statement they compile to,
-its parameters and the predicate dictionary entries it uses (the store
-names every predicate ``p<i>``), then the row count, the result, and
+Prints the Join Tree as an indented tree (each node's kind, PT or VP,
+its label and its §3.3 priority, children under their parent), the
+Spark SQL statement it compiles to, its parameters and the predicate
+dictionary entries it uses (the store names every predicate ``p<i>``),
+then the row count, the result, and
 the Spark physical plan that ran with its number of ``Exchange``
 operators (shuffles; a subject join of two stored nodes needs none,
 as VP and PT are bucketed on the subject) and the number of generated
@@ -55,7 +57,8 @@ def main() -> None:
         triples = to_spark(spark, watdiv_pandas(scale=args.scale, seed=args.seed))
         prost = Prost.load(spark, triples, path=path)
         tree = prost.plan(query, mode=args.mode)
-        print("join tree nodes (execution order):", tree.node_labels())
+        print("join tree:")
+        print(tree.render())
         statement = compile_tree(prost.store, tree, query)
         print("SQL statement:", statement.text)
         print("parameters:", statement.args)

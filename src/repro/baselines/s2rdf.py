@@ -168,6 +168,4 @@ class S2RDFStore:
             rel = self._best_table(query, node.pattern)
             return vp_node_sql(rel, node.pattern, param)
 
-        return compile_statement(query, tree.execution_order, self.stats, node_sql).run(
-            self.spark
-        )
+        return compile_statement(query, tree, self.stats, node_sql).run(self.spark)

@@ -124,11 +124,14 @@ def query_times(
     runners: dict[str, Callable[[str], object]], rounds: int = 1
 ) -> pd.DataFrame:
     """Per-query median wall-clock seconds over *rounds* executions, one
-    column per runner (SPARQL text -> result); Figure 3's data."""
+    column per runner (SPARQL text -> result); Figure 3's data. Each
+    query first runs once per runner untimed, so no system's time holds
+    the one-off costs of a first run, such as compiling generated code."""
     rows = []
     for qname, sparql in QUERIES.items():
         row: dict[str, object] = {"query": qname}
         for name, run in runners.items():
+            run(sparql)
             row[name] = median(timed(lambda: run(sparql))[0] for _ in range(rounds))
         rows.append(row)
     return pd.DataFrame(rows)

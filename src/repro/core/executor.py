@@ -13,14 +13,17 @@ plans"):
   ``LATERAL VIEW explode`` per unbound multi-valued pattern and
   ``IS NOT NULL``, ``=`` and ``array_contains`` predicates — no joins,
   the whole point of the PT;
-- the nodes are joined in ``execution_order`` with ``JOIN … USING``
-  their shared variables (``CROSS JOIN`` when they share none), and the
-  outer SELECT applies the projection and DISTINCT.
+- the tree is joined bottom-up: each inner node joins its own subquery
+  and its children's subtrees, in the node's join order, with
+  ``JOIN … USING`` their shared variables (``CROSS JOIN`` when they
+  share none); a subtree enters its parent's join as a nested
+  ``SELECT *``, and the outer SELECT over the root's join applies the
+  projection and DISTINCT.
 
 Every constant is bound as a named parameter, never spliced into the
 text, and every identifier is backtick-quoted. Patterns binding no
 variables (fully constant) compile to a 0/1-row existence relation
-that enters the statement as a cross join.
+that enters the root's join as a cross join.
 
 :func:`executed_plan` runs a statement's own physical plan and returns
 the plan that ran; :func:`plan_nodes` walks it, so a caller can count
@@ -32,12 +35,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from itertools import count
+from typing import Callable, Iterator
 
 from py4j.java_gateway import JavaObject
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.jointree import JoinTree, Node, PTNode, VPNode, build_join_tree
+from repro.core.jointree import JoinTree, Node, PTNode, Subtree, VPNode, build_join_tree
 from repro.core.loader import ProstStore, Relation, vp_relation
 from repro.core.stats import GraphStats
 from repro.sparql.algebra import Query, Term, TriplePattern, is_const
@@ -164,34 +168,49 @@ def _node_sql(stats: GraphStats, node_sql: NodeSql, node: Node, param: _Params):
 
 
 def compile_statement(
-    query: Query, nodes: Iterable[Node], stats: GraphStats, node_sql: NodeSql
+    query: Query, tree: JoinTree, stats: GraphStats, node_sql: NodeSql
 ) -> Statement:
-    """Join the nodes' subqueries, in order, under one outer SELECT.
+    """Join the tree's subqueries bottom-up under one outer SELECT.
 
-    The ``USING`` columns are the shared variables in the column order
-    of the relation built so far; that order is the join's shuffle
-    hash key.
+    The ``USING`` columns of each join are the shared variables in the
+    column order of the relation built so far; that order is the
+    join's shuffle hash key.
     """
     param = _Params()
-    parts = [_node_sql(stats, node_sql, n, param) for n in nodes]
-    text = ""
-    cols: list[str] = []  # output variables of the relation built so far
-    for i, (sql, node_cols) in enumerate(parts):
-        rel = f"({sql}) AS `n{i}`"
-        shared = [c for c in cols if c in node_cols]
-        if i == 0:
-            text = rel
-        elif shared:
-            text += f" JOIN {rel} USING ({', '.join(map(quote, shared))})"
-        else:
-            text += f" CROSS JOIN {rel}"
-        cols = shared + [c for c in cols + node_cols if c not in shared]
+    aliases = (f"`n{i}`" for i in count())
+    exists: list[str] = []  # aliases of the variable-free nodes
+
+    def relation(sub: Subtree) -> tuple[str, list[str]]:
+        alias = next(aliases)
+        if sub.children:
+            text, cols = join(sub)
+            return f"(SELECT * FROM {text}) AS {alias}", cols
+        sql, cols = _node_sql(stats, node_sql, sub.node, param)
+        if not cols:
+            exists.append(alias)
+        return f"({sql}) AS {alias}", cols
+
+    def join(sub: Subtree) -> tuple[str, list[str]]:
+        text = ""
+        cols: list[str] = []  # output variables of the relation built so far
+        for item in sub.join_order():
+            rel, item_cols = relation(item)
+            shared = [c for c in cols if c in item_cols]
+            if not text:
+                text = rel
+            elif shared:
+                text += f" JOIN {rel} USING ({', '.join(map(quote, shared))})"
+            else:
+                text += f" CROSS JOIN {rel}"
+            cols = shared + [c for c in cols + item_cols if c not in shared]
+        return text, cols
+
+    text, _cols = join(tree.root)
     projection = query.projection()
     if projection:
         select = ", ".join(map(quote, projection))
     else:  # no variables: every node is an existence relation
-        exists = (f"`n{i}`.{quote(_EXISTS_COL)}" for i in range(len(parts)))
-        select = f"* EXCEPT ({', '.join(exists)})"
+        select = f"* EXCEPT ({', '.join(f'{a}.{quote(_EXISTS_COL)}' for a in exists)})"
     distinct = "DISTINCT " if query.distinct else ""
     return Statement(f"SELECT {distinct}{select} FROM {text}", param.args)
 
@@ -213,9 +232,7 @@ def compile_node(store: ProstStore, node: Node) -> DataFrame:
 
 def compile_tree(store: ProstStore, tree: JoinTree, query: Query) -> Statement:
     """The one SQL statement that answers *query* with *tree*."""
-    return compile_statement(
-        query, tree.execution_order, store.stats, partial(_prost_node_sql, store)
-    )
+    return compile_statement(query, tree, store.stats, partial(_prost_node_sql, store))
 
 
 def execute_tree(store: ProstStore, tree: JoinTree, query: Query) -> DataFrame:

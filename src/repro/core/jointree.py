@@ -3,8 +3,8 @@
 A SPARQL BGP becomes a tree whose nodes are sub-queries answered either
 from the Property Table (all patterns sharing one subject — "star"
 groups of size ≥ 2) or from a Vertical Partitioning table (single
-patterns). The tree's structure encodes the join order: leaves are
-computed first, the root last.
+patterns). The tree's structure encodes the join order: subtrees are
+joined bottom-up, and the root is joined last.
 
 Priorities follow §3.3 exactly:
 
@@ -16,16 +16,21 @@ Priorities follow §3.3 exactly:
 3. a PT node is scored over all its patterns (we take the most
    selective estimate), with literal patterns weighted heavily.
 
-The node with the *lowest* priority becomes the root. Ordering is
-greedy-connected (:func:`~repro.sparql.algebra.connected_order`, the
-walk SPARQLGX and Rya also use): after the first (highest-priority)
-node, the next node is always the highest-priority one sharing a
-variable with the already-joined set, so cartesian products only
-happen for genuinely disconnected queries.
+The node with the *lowest* priority becomes the root (on a tie, the
+later one in the greedy walk below). Every other node is placed
+breadth-first: it hangs under the first tree node it shares a variable
+with, and each node keeps its children in descending priority. A node
+of another connected component hangs under the root. Each inner node
+joins its own subquery and its children's subtrees in the greedy
+connected order (:func:`~repro.sparql.algebra.connected_order`, the
+walk SPARQLGX and Rya also use) keyed by each input's top-node
+priority, so a cartesian product happens only between the components
+of a disconnected query.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.core.stats import GraphStats
 from repro.sparql.algebra import Query, TriplePattern, connected_order, is_const
@@ -80,22 +85,57 @@ Node = VPNode | PTNode
 
 
 @dataclass
+class Subtree:
+    """A Join Tree node, its §3.3 priority and the subtrees hung under
+    it, in descending priority."""
+
+    node: Node
+    priority: float
+    children: list[Subtree] = field(default_factory=list)
+
+    def variables(self) -> frozenset[str]:
+        out = set(self.node.variables())
+        for child in self.children:
+            out |= child.variables()
+        return frozenset(out)
+
+    def join_order(self) -> list[Subtree]:
+        """The inputs this node joins, in join order: its own node (as a
+        leaf) and its children's subtrees, greedy-connected by top-node
+        priority. A leaf's one input is itself."""
+        if not self.children:
+            return [self]
+        inputs = [Subtree(self.node, self.priority), *self.children]
+        return connected_order(inputs, key=lambda t: -t.priority)
+
+    def walk(self, depth: int = 0) -> Iterator[tuple[int, Subtree]]:
+        """``(depth, subtree)`` of this subtree and every one under it,
+        parents first."""
+        yield depth, self
+        for child in self.children:
+            yield from child.walk(depth + 1)
+
+
+@dataclass
 class JoinTree:
-    """The planned query: its nodes in execution order.
+    """The planned query: the root of its Join Tree. The executor
+    compiles the whole tree into one SQL statement."""
 
-    ``execution_order`` lists the nodes from first-executed (deepest,
-    highest priority) to last (the root). The executor joins the nodes
-    in this order in one SQL statement.
-    """
+    root: Subtree
 
-    execution_order: list[Node]
-    priorities: dict[int, float]  # id(node) -> priority score
+    @property
+    def execution_order(self) -> list[Node]:
+        """Every node once, each after the nodes of its subtree: leaves
+        first, the root last."""
+        return [sub.node for _depth, sub in reversed(list(self.root.walk()))]
 
-    def priority_of(self, node: Node) -> float:
-        return self.priorities[id(node)]
-
-    def node_labels(self) -> list[str]:
-        return [n.label() for n in self.execution_order]
+    def render(self) -> str:
+        """The tree as indented text, root first: one line per node with
+        its label (its kind, PT or VP, first) and its §3.3 priority."""
+        return "\n".join(
+            f"{'  ' * depth}{sub.node.label()}  priority {sub.priority:,.1f}"
+            for depth, sub in self.root.walk()
+        )
 
 
 def group_patterns(query: Query, mode: str) -> list[Node]:
@@ -143,9 +183,26 @@ def node_priority(node: Node, stats: GraphStats) -> float:
 
 
 def build_join_tree(query: Query, stats: GraphStats, mode: str = "mixed") -> JoinTree:
-    """Group, score and order the query's patterns into a Join Tree."""
+    """Group and score the query's patterns and hang them into a Join Tree."""
     query.validate()
     nodes = group_patterns(query, mode)
     prio = {id(n): node_priority(n, stats) for n in nodes}
-    order = connected_order(nodes, key=lambda n: -prio[id(n)])
-    return JoinTree(execution_order=order, priorities=prio)
+    walk = connected_order(nodes, key=lambda n: -prio[id(n)])
+    top = min(reversed(walk), key=lambda n: prio[id(n)])
+    root = Subtree(top, prio[id(top)])
+    rest = sorted((n for n in walk if n is not top), key=lambda n: -prio[id(n)])
+    placed = [root]  # breadth-first
+    done = 0
+    while rest:
+        if done == len(placed):  # the next connected component
+            parent, kids = root, rest[:1]
+        else:
+            parent = placed[done]
+            done += 1
+            kids = [n for n in rest if parent.node.variables() & n.variables()]
+        for n in kids:
+            rest.remove(n)
+            placed.append(Subtree(n, prio[id(n)]))
+            parent.children.append(placed[-1])
+        parent.children.sort(key=lambda t: -t.priority)
+    return JoinTree(root)

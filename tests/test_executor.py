@@ -4,11 +4,18 @@ from __future__ import annotations
 import pandas as pd
 import pytest
 
-from repro.core.executor import compile_node, compile_tree, execute_tree
+from repro.core.executor import (
+    compile_node,
+    compile_tree,
+    executed_plan,
+    execute_tree,
+    plan_nodes,
+)
 from repro.core.jointree import VPNode, build_join_tree, group_patterns
 from repro.core.loader import ProstStore
 from repro.rdf.triples import to_spark
 from repro.sparql.parser import parse
+from repro.sparql.watdiv_queries import QUERIES
 
 TINY = pd.DataFrame(
     [
@@ -155,3 +162,17 @@ class TestJoinAndProject:
             tiny_store, "SELECT DISTINCT ?u WHERE { ?u wsdbm:likes ?p . }"
         )
         assert out.count() == 2
+
+
+@pytest.mark.parametrize("mode", ["mixed", "vp"])
+def test_c2_shuffles_fewer_rows_than_it_returns(prost, mode):
+    """C2 joined as a tree joins its large inputs last: no shuffle moves
+    as many rows as the answer holds (a left-deep chain shuffled a
+    larger intermediate into one partition before the last join)."""
+    rows, plan = executed_plan(prost.query(QUERIES["C2"], mode))
+    shuffled = [
+        node.metrics().apply("shuffleRecordsWritten").value()
+        for node in plan_nodes(plan)
+        if node.nodeName() == "Exchange"
+    ]
+    assert rows > 0 and max(shuffled) < rows

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.executor import compile_statement
 from repro.core.jointree import (
     LITERAL_BONUS,
     PTNode,
@@ -11,12 +12,17 @@ from repro.core.jointree import (
     group_patterns,
     node_priority,
 )
+from repro.core.stats import GraphStats, PredicateStats
 from repro.sparql.parser import parse
 from repro.sparql.watdiv_queries import QUERIES
 
 
 def q(text: str):
     return parse(text)
+
+
+def has_literal(node) -> bool:
+    return any(tp.has_literal() for tp in node.patterns)
 
 
 class TestGrouping:
@@ -107,39 +113,40 @@ class TestTreeConstruction:
 
     @pytest.mark.parametrize("name", sorted(QUERIES))
     def test_order_is_connected(self, graph_stats, name):
-        """After the first node, every node shares a variable with the
-        already-joined prefix (the bundled queries are all connected)."""
+        """Every join of the tree is connected: each input after the
+        first shares a variable with the inputs before it (the bundled
+        queries are all connected)."""
         tree = build_join_tree(q(QUERIES[name]), graph_stats, "mixed")
-        seen = set(tree.execution_order[0].variables())
-        for node in tree.execution_order[1:]:
-            assert node.variables() & seen
-            seen |= node.variables()
+        for _depth, sub in tree.root.walk():
+            first, *rest = sub.join_order()
+            seen = set(first.variables())
+            for item in rest:
+                assert item.variables() & seen
+                seen |= item.variables()
 
     @pytest.mark.parametrize("name", sorted(QUERIES))
     def test_first_node_is_highest_priority(self, graph_stats, name):
+        """Every join starts with its highest-priority input."""
         tree = build_join_tree(q(QUERIES[name]), graph_stats, "mixed")
-        first = tree.execution_order[0]
-        assert tree.priority_of(first) == max(
-            tree.priority_of(n) for n in tree.execution_order
-        )
+        for _depth, sub in tree.root.walk():
+            inputs = sub.join_order()
+            assert inputs[0].priority == max(t.priority for t in inputs)
 
     def test_literal_node_executed_before_free_nodes(self, graph_stats):
         """§3.3: push literal-constrained nodes down (execute early).
-        L1 mixed = PT(subscribes Website0, likes) + free VP(caption)."""
+        L1 mixed = PT(subscribes Website0, likes) + free VP(caption): the
+        literal node is never an ancestor of a free node, and the root's
+        join reads it first."""
         tree = build_join_tree(q(QUERIES["L1"]), graph_stats, "mixed")
-        free_idx = next(
-            i for i, n in enumerate(tree.execution_order)
-            if not any(tp.has_literal() for tp in n.patterns)
-        )
-        lit_idx = [
-            i for i, n in enumerate(tree.execution_order)
-            if any(tp.has_literal() for tp in n.patterns)
-        ]
-        assert lit_idx and min(lit_idx) < free_idx
+        for _depth, sub in tree.root.walk():
+            if has_literal(sub.node):
+                assert all(has_literal(d.node) for _d, d in sub.walk())
+        assert not has_literal(tree.root.node)
+        assert has_literal(tree.root.join_order()[0].node)
 
     def test_node_labels_readable(self, graph_stats):
         tree = build_join_tree(q(QUERIES["F5"]), graph_stats, "mixed")
-        labels = tree.node_labels()
+        labels = [line.lstrip() for line in tree.render().splitlines()]
         assert any(lbl.startswith("PT[") for lbl in labels)
         assert any(lbl.startswith("VP[") for lbl in labels)
 
@@ -159,3 +166,134 @@ class TestTreeConstruction:
         tree = build_join_tree(query, graph_stats, "mixed")
         kinds = sorted(type(n).__name__ for n in tree.execution_order)
         assert kinds == ["PTNode", "VPNode", "VPNode"]
+
+
+#: toy statistics, Spark-free: predicate -> (triples, distinct subjects)
+TOY = GraphStats(
+    {
+        p: PredicateStats(n, ds)
+        for p, n, ds in [
+            ("wsdbm:big", 1000, 500),
+            ("wsdbm:mid", 100, 100),
+            ("wsdbm:small", 10, 10),
+            ("wsdbm:knows", 50, 40),
+        ]
+    }
+)
+
+#: queries over TOY with their shapes: chains, stars, a cycle, two
+#: components, constant-only patterns and no variables at all
+SHAPES = {
+    "chain": "SELECT * WHERE { ?a wsdbm:big ?b . ?b wsdbm:mid ?c . ?c wsdbm:small ?d . }",
+    "star_and_chain": "SELECT * WHERE { ?a wsdbm:big ?b . ?a wsdbm:mid ?c . "
+    "?a wsdbm:small ?d . ?d wsdbm:knows ?e . }",
+    "cycle": "SELECT * WHERE { ?x wsdbm:big ?y . ?y wsdbm:mid ?z . ?z wsdbm:small ?x . }",
+    "two_components": "SELECT * WHERE { ?a wsdbm:big ?b . ?b wsdbm:mid ?c . "
+    "?x wsdbm:small ?y . ?y wsdbm:knows ?z . }",
+    "constant_patterns": "SELECT * WHERE { ?a wsdbm:big ?b . <u1> wsdbm:mid <u2> . "
+    "?b wsdbm:small ?c . <u3> wsdbm:knows <u4> . }",
+    "no_variables": "SELECT * WHERE { <u1> wsdbm:big <u2> . <u3> wsdbm:mid <u4> . "
+    "<u5> wsdbm:small <u6> . }",
+}
+
+
+def toy_statement(query, tree, stats=TOY) -> str:
+    """The tree's statement text, each node standing in as one view."""
+
+    def node_sql(node, _param):
+        cols = sorted(node.variables())
+        return f"SELECT {', '.join(cols) or 1} FROM v", cols
+
+    return compile_statement(query, tree, stats, node_sql).text
+
+
+def components(nodes) -> int:
+    """The number of connected components of *nodes*, linked by shared
+    variables."""
+    parts: list[set[str]] = []
+    for node in nodes:
+        joined = [c for c in parts if c & node.variables()]
+        parts = [c for c in parts if c not in joined] + [set(node.variables()).union(*joined)]
+    return len(parts)
+
+
+class TestTreeShape:
+    """The Join Tree's shape (§3.2–3.3), on every bundled query and
+    every toy shape, in both modes."""
+
+    CASES = [(n, m) for n in sorted(QUERIES) + list(SHAPES) for m in ("mixed", "vp")]
+
+    @pytest.fixture(params=CASES, ids=[f"{n}-{m}" for n, m in CASES])
+    def planned(self, request):
+        name, mode = request.param
+        stats = TOY if name in SHAPES else request.getfixturevalue("graph_stats")
+        query = q(SHAPES.get(name) or QUERIES[name])
+        return query, mode, stats, build_join_tree(query, stats, mode)
+
+    def test_root_has_lowest_priority(self, planned):
+        *_, tree = planned
+        assert tree.root.priority == min(sub.priority for _d, sub in tree.root.walk())
+
+    def test_children_share_a_variable_with_their_parent(self, planned):
+        """A child that shares no variable with its parent is the top of
+        another connected component, hung under the root."""
+        *_, tree = planned
+        for _depth, sub in tree.root.walk():
+            for child in sub.children:
+                if sub.node.variables() & child.node.variables():
+                    continue
+                inside = {id(d) for _d, d in child.walk()}
+                outside = set().union(
+                    *(d.node.variables() for _d, d in tree.root.walk() if id(d) not in inside)
+                )
+                assert sub is tree.root and not child.variables() & outside
+
+    def test_one_cross_join_per_extra_component(self, planned):
+        """A connected query has no cross join, a disconnected one
+        exactly one per component after the first."""
+        query, _mode, stats, tree = planned
+        crosses = toy_statement(query, tree, stats).count("CROSS JOIN")
+        assert crosses == components(tree.execution_order) - 1
+
+    def test_each_node_appears_once(self, planned):
+        query, mode, _stats, tree = planned
+        nodes = tree.execution_order
+        assert len({id(n) for n in nodes}) == len(nodes) == len(group_patterns(query, mode))
+        assert sorted(map(str, (tp for n in nodes for tp in n.patterns))) == sorted(
+            map(str, query.patterns)
+        )
+        assert nodes[-1] is tree.root.node
+
+    def test_children_in_descending_priority(self, planned):
+        *_, tree = planned
+        for _depth, sub in tree.root.walk():
+            prios = [c.priority for c in sub.children]
+            assert prios == sorted(prios, reverse=True)
+
+
+@pytest.mark.parametrize("mode", ["mixed", "vp"])
+def test_cycle_children_join_on_a_variable_their_parent_lacks(mode):
+    """In the triangle both other nodes hang under the root and share
+    the one variable the root lacks; having the higher priorities, they
+    are joined on it before the root joins them."""
+    query = q(SHAPES["cycle"])
+    tree = build_join_tree(query, TOY, mode)
+    a, b = tree.root.children
+    assert a.variables() & b.variables() == {"z"}
+    assert "z" not in tree.root.node.variables()
+    assert "USING (`z`)" in toy_statement(query, tree)
+
+
+def test_render_indents_children_under_their_parent():
+    mixed = build_join_tree(q(SHAPES["star_and_chain"]), TOY, "mixed")
+    assert mixed.render().splitlines() == [
+        "VP[wsdbm:knows]  priority -50.0",
+        "  PT[?a;wsdbm:big,wsdbm:mid,wsdbm:small]  priority -10.0",
+    ]
+    vp = build_join_tree(q(SHAPES["star_and_chain"]), TOY, "vp")
+    assert vp.render().splitlines() == [
+        "VP[wsdbm:big]  priority -1,000.0",
+        "  VP[wsdbm:small]  priority -10.0",
+        "    VP[wsdbm:knows]  priority -50.0",
+        "  VP[wsdbm:mid]  priority -100.0",
+    ]

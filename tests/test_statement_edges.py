@@ -101,6 +101,27 @@ CASES = {
     "distinct_join": bgp(
         ("?s", "ex:knows", "?t"), ("?t", "ex:tag", "?l"), select=("l",), distinct=True
     ),
+    # Join Tree shapes: two children of the root that share a variable
+    # the root lacks, two multi-node components, constant-only patterns
+    # beside a star, three variable-free patterns
+    "tree_cycle": bgp(
+        ("?x", "ex:knows", "?y"), ("?y", "ex:knows", "?z"), ("?z", "ex:knows", "?x")
+    ),
+    "tree_two_components": bgp(
+        ("?a", "ex:knows", "?b"),
+        ("?b", "ex:name", "?n"),
+        ("?c", "ex:tag2", "?t"),
+        ("?d", "ex:knows", "?c"),
+    ),
+    "tree_constant_patterns": bgp(
+        (s(0), "ex:knows", s(0)),
+        (s(1), "ex:name", "n1"),
+        ("?s", "ex:label", "?l"),
+        ("?s", "ex:knows", "?t"),
+    ),
+    "tree_no_vars_three": bgp(
+        (s(0), "ex:knows", s(0)), (s(1), "ex:name", "n1"), (s(3), "ex:knows", s(3))
+    ),
 }
 
 
