@@ -14,8 +14,12 @@ of ``(s, p, o)`` component tuples in the index's component order; a
 range scan is two ``bisect_left`` calls, exact for any string. The join
 engine is a deliberate Python binding-at-a-time loop — vectorising it
 would simulate a system Rya is not. Join order uses Rya's simple
-reordering: most-bound patterns first, then smaller predicate extents,
-kept connected by the walk every planner here shares.
+reordering, :func:`~repro.sparql.algebra.most_bound_first`, which SPARQLGX
+shares: most-bound patterns first, then smaller predicate extents (the
+length of the predicate's POS-index range), kept connected so the
+planner pipelines patterns that share variables with the bindings
+already produced (a disconnected pick would turn every probe into a
+full scan).
 
 :meth:`RyaStore.load` has the ``load(spark, triples, *, path)`` of every
 store here. It collects the deduplicated graph to the driver, builds
@@ -42,7 +46,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.rdf.triples import canonicalize, escaped, to_spark
-from repro.sparql.algebra import Query, TriplePattern, connected_order, is_const
+from repro.sparql.algebra import Query, TriplePattern, is_const, most_bound_first
 from repro.sparql.parser import parse
 
 #: separator of the components in the on-disk key files
@@ -92,7 +96,8 @@ def choose_index(bound: set[str]) -> str:
 
 @dataclass
 class RyaStore:
-    """Loaded Rya database: three sorted indexes + extent statistics.
+    """Loaded Rya database: three sorted indexes. A predicate's extent,
+    which the join order reads, is its range in the POS index.
 
     ``last_probes`` exposes the probe count of the most recent query:
     a scale-free cost metric, and the number of range scans the
@@ -100,7 +105,6 @@ class RyaStore:
     """
 
     indexes: dict[str, _Index]
-    pred_counts: dict[str, int]
     last_probes: int = 0
 
     @classmethod
@@ -122,22 +126,13 @@ class RyaStore:
                 .text(os.path.join(path, name))
             )
         indexes = {name: _Index(t, order) for name, order in INDEX_ORDERS.items()}
-        return cls(indexes=indexes, pred_counts=t["p"].value_counts().to_dict())
+        return cls(indexes=indexes)
 
     # ------------------------------------------------------------------
-    def _order(self, query: Query) -> list[TriplePattern]:
-        """Rya-style join reordering: most-bound patterns first, then
-        ascending predicate extent — greedily keeping the chain
-        *connected* (Rya's query planner pipelines patterns that share
-        variables with already-produced bindings; a disconnected pick
-        would turn every probe into a full scan)."""
-        return connected_order(
-            query.patterns,
-            key=lambda tp: (
-                -sum(1 for t in (tp.s, tp.o) if is_const(t)),
-                self.pred_counts.get(tp.predicate, 0),
-            ),
-        )
+    def extent(self, predicate: str) -> int:
+        """The triples of *predicate*: the length of its POS-index range
+        (0 if the graph lacks it)."""
+        return len(self.indexes["pos"].scan((predicate,)))
 
     def _probe(
         self, tp: TriplePattern, binding: dict[str, str]
@@ -182,7 +177,7 @@ class RyaStore:
         query.validate()
         self.last_probes = 0
         bindings: list[dict[str, str]] = [{}]
-        for tp in self._order(query):
+        for tp in most_bound_first(query.patterns, self.extent):
             nxt: list[dict[str, str]] = []
             for b in bindings:
                 nxt.extend(self._probe(tp, b))

@@ -26,7 +26,10 @@ identical; only the job count differs.
 
 Queries compile through PRoST's statement builder
 (:mod:`repro.core.executor`): the VP and ExtVP datasets are temp views,
-and each pattern's table is one of them narrowed by fixed equalities.
+and each pattern's table is one of them narrowed by fixed equalities
+(:func:`~repro.core.loader.vp_relation`,
+:meth:`S2RDFStore.extvp_relation`); that SQL is the one reader of
+either dataset.
 Unlike PRoST's, they are not bucketed on the subject (S2RDF does not
 bucket), so every join shuffles both of its inputs.
 """
@@ -116,19 +119,11 @@ class S2RDFStore:
         )
 
     # ------------------------------------------------------------------
-    def vp_table(self, predicate: str) -> DataFrame:
-        return vp_relation(self.vp_view, self.stats, predicate).rows(self.spark)
-
-    def extvp_relation(self, kind: str, p1: str, p2: str) -> Relation | None:
-        """The materialised ExtVP table, or None if it was not kept."""
-        if (kind, p1, p2) not in self.extvp_counts:
-            return None
+    def extvp_relation(self, kind: str, p1: str, p2: str) -> Relation:
+        """The ExtVP table of *kind* reducing *p1* against *p2*; ask
+        only for a kept one (a key of :attr:`extvp_counts`)."""
         col = self.stats.column
         return Relation(self.extvp_view, (("kind", kind), ("pred", col(p1)), ("p2", col(p2))))
-
-    def extvp_table(self, kind: str, p1: str, p2: str) -> DataFrame | None:
-        rel = self.extvp_relation(kind, p1, p2)
-        return None if rel is None else rel.rows(self.spark)
 
     # ------------------------------------------------------------------
     def _best_table(self, query: Query, tp: TriplePattern) -> Relation:
@@ -160,7 +155,6 @@ class S2RDFStore:
         table statistics and leaves physical planning to Catalyst).
         """
         query = parse(sparql) if isinstance(sparql, str) else sparql
-        query.validate()
         tree = build_join_tree(query, self.stats, mode="vp")
 
         def node_sql(node, param):

@@ -4,8 +4,10 @@ SPARQLGX (Graux et al., ISWC 2016) stores one plain text file per
 predicate and compiles SPARQL directly to Spark *RDD* operations — it
 deliberately does not use Spark SQL, so no Catalyst, no columnar
 Parquet scans, no whole-stage codegen. Join order comes from its own
-statistics (it prefers patterns with more constants and smaller
-predicate extents).
+statistics: :func:`~repro.sparql.algebra.most_bound_first`, which
+prefers patterns with more constants and smaller predicate extents (the
+triple counts of :class:`~repro.core.stats.GraphStats`), the order Rya
+uses too.
 
 This module reproduces both properties:
 
@@ -33,7 +35,7 @@ from pyspark.sql import types as T
 from repro.core.loader import build_vp
 from repro.core.stats import GraphStats
 from repro.rdf.triples import canonicalize, escaped, unescaper
-from repro.sparql.algebra import Query, TriplePattern, connected_order, is_const, is_var
+from repro.sparql.algebra import Query, TriplePattern, is_const, is_var, most_bound_first
 from repro.sparql.parser import parse
 
 _SEP = "\t"
@@ -109,19 +111,6 @@ class SparqlGXStore:
         )
         return cls(spark=spark, stats=stats, path=data_path)
 
-    # ------------------------------------------------------------------
-    def _order(self, query: Query) -> list[TriplePattern]:
-        """SPARQLGX's own heuristic: most-constrained patterns first
-        (constant count desc, then predicate extent asc), greedily kept
-        connected so the RDD fold never cartesians needlessly."""
-        return connected_order(
-            query.patterns,
-            key=lambda tp: (
-                -sum(1 for t in (tp.s, tp.o) if is_const(t)),
-                self.stats.n_triples(tp.predicate),
-            ),
-        )
-
     def query(self, sparql: str | Query) -> DataFrame:
         """Evaluate via RDD joins; returns a Spark DataFrame of the
         projected variables (strings) for uniform comparison."""
@@ -131,7 +120,7 @@ class SparqlGXStore:
 
         result = None
         result_vars: set[str] = set()
-        for tp in self._order(query):
+        for tp in most_bound_first(query.patterns, self.stats.n_triples):
             if tp.predicate not in self.stats:
                 rdd = sc.parallelize([])  # predicate absent from the graph
             else:

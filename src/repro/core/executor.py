@@ -23,7 +23,8 @@ plans"):
 Every constant is bound as a named parameter, never spliced into the
 text, and every identifier is backtick-quoted. Patterns binding no
 variables (fully constant) compile to a 0/1-row existence relation
-that enters the root's join as a cross join.
+that enters the root's join as a cross join. :func:`execute_tree` runs
+the statement of a planned tree (``Prost.query`` plans and calls it).
 
 :func:`executed_plan` runs a statement's own physical plan and returns
 the plan that ran; :func:`plan_nodes` walks it, so a caller can count
@@ -41,7 +42,7 @@ from typing import Callable, Iterator
 from py4j.java_gateway import JavaObject
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.jointree import JoinTree, Node, PTNode, Subtree, VPNode, build_join_tree
+from repro.core.jointree import JoinTree, Node, PTNode, VPNode
 from repro.core.loader import ProstStore, Relation, vp_relation
 from repro.core.stats import GraphStats
 from repro.sparql.algebra import Query, Term, TriplePattern, is_const
@@ -140,7 +141,7 @@ def pt_node_sql(store: ProstStore, node: PTNode, param: _Params) -> tuple[str, l
     explodes = ""
     for i, tp in enumerate(node.patterns):
         col = quote(store.stats.column(tp.predicate))
-        if store.is_multi_valued(tp.predicate):
+        if tp.predicate in store.multi_valued:
             if is_const(tp.o):
                 star.where.append(f"array_contains({col}, {param(tp.o.value)})")
             else:
@@ -180,7 +181,7 @@ def compile_statement(
     aliases = (f"`n{i}`" for i in count())
     exists: list[str] = []  # aliases of the variable-free nodes
 
-    def relation(sub: Subtree) -> tuple[str, list[str]]:
+    def relation(sub: JoinTree) -> tuple[str, list[str]]:
         alias = next(aliases)
         if sub.children:
             text, cols = join(sub)
@@ -190,7 +191,7 @@ def compile_statement(
             exists.append(alias)
         return f"({sql}) AS {alias}", cols
 
-    def join(sub: Subtree) -> tuple[str, list[str]]:
+    def join(sub: JoinTree) -> tuple[str, list[str]]:
         text = ""
         cols: list[str] = []  # output variables of the relation built so far
         for item in sub.join_order():
@@ -205,7 +206,7 @@ def compile_statement(
             cols = shared + [c for c in cols + item_cols if c not in shared]
         return text, cols
 
-    text, _cols = join(tree.root)
+    text, _cols = join(tree)
     projection = query.projection()
     if projection:
         select = ", ".join(map(quote, projection))
@@ -236,14 +237,9 @@ def compile_tree(store: ProstStore, tree: JoinTree, query: Query) -> Statement:
 
 
 def execute_tree(store: ProstStore, tree: JoinTree, query: Query) -> DataFrame:
-    return compile_tree(store, tree, query).run(store.spark)
-
-
-def execute(store: ProstStore, query: Query, mode: str = "mixed") -> DataFrame:
-    """Plan and run *query*; returns a DataFrame with one column per
+    """Run *query* planned as *tree*: a DataFrame with one column per
     projected variable."""
-    tree = build_join_tree(query, store.stats, mode=mode)
-    return execute_tree(store, tree, query)
+    return compile_tree(store, tree, query).run(store.spark)
 
 
 def executed_plan(df: DataFrame) -> tuple[int, JavaObject]:

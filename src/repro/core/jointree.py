@@ -24,8 +24,12 @@ of another connected component hangs under the root. Each inner node
 joins its own subquery and its children's subtrees in the greedy
 connected order (:func:`~repro.sparql.algebra.connected_order`, the
 walk SPARQLGX and Rya also use) keyed by each input's top-node
-priority, so a cartesian product happens only between the components
-of a disconnected query.
+priority, with the subtrees of other components last. So a cartesian
+product happens only between the components of a disconnected query,
+once the root's own component is joined.
+
+The tree is one recursive :class:`JoinTree`: a node, its priority and
+its child subtrees; :func:`build_join_tree` returns the root.
 """
 from __future__ import annotations
 
@@ -56,7 +60,8 @@ class VPNode:
         return frozenset(self.pattern.variables())
 
     def label(self) -> str:
-        return f"VP[{self.pattern.predicate}]"
+        tp = self.pattern
+        return f"VP[{tp.s} {tp.p} {tp.o}]"
 
 
 @dataclass
@@ -85,13 +90,14 @@ Node = VPNode | PTNode
 
 
 @dataclass
-class Subtree:
+class JoinTree:
     """A Join Tree node, its §3.3 priority and the subtrees hung under
-    it, in descending priority."""
+    it, in descending priority. The root is the planned query, and the
+    executor compiles the whole tree into one SQL statement."""
 
     node: Node
     priority: float
-    children: list[Subtree] = field(default_factory=list)
+    children: list[JoinTree] = field(default_factory=list)
 
     def variables(self) -> frozenset[str]:
         out = set(self.node.variables())
@@ -99,42 +105,36 @@ class Subtree:
             out |= child.variables()
         return frozenset(out)
 
-    def join_order(self) -> list[Subtree]:
+    def join_order(self) -> list[JoinTree]:
         """The inputs this node joins, in join order: its own node (as a
         leaf) and its children's subtrees, greedy-connected by top-node
-        priority. A leaf's one input is itself."""
+        priority, the subtrees of other connected components (sharing no
+        variable with the node) last. A leaf's one input is itself."""
         if not self.children:
             return [self]
-        inputs = [Subtree(self.node, self.priority), *self.children]
-        return connected_order(inputs, key=lambda t: -t.priority)
+        own = self.node.variables()
+        inputs = [JoinTree(self.node, self.priority), *self.children]
+        return connected_order(inputs, key=lambda t: (not own & t.node.variables(), -t.priority))
 
-    def walk(self, depth: int = 0) -> Iterator[tuple[int, Subtree]]:
+    def walk(self, depth: int = 0) -> Iterator[tuple[int, JoinTree]]:
         """``(depth, subtree)`` of this subtree and every one under it,
         parents first."""
         yield depth, self
         for child in self.children:
             yield from child.walk(depth + 1)
 
-
-@dataclass
-class JoinTree:
-    """The planned query: the root of its Join Tree. The executor
-    compiles the whole tree into one SQL statement."""
-
-    root: Subtree
-
     @property
     def execution_order(self) -> list[Node]:
         """Every node once, each after the nodes of its subtree: leaves
-        first, the root last."""
-        return [sub.node for _depth, sub in reversed(list(self.root.walk()))]
+        first, this node last."""
+        return [sub.node for _depth, sub in reversed(list(self.walk()))]
 
     def render(self) -> str:
-        """The tree as indented text, root first: one line per node with
-        its label (its kind, PT or VP, first) and its §3.3 priority."""
+        """The tree as indented text, this node first: one line per node
+        with its label (its kind, PT or VP, first) and its §3.3 priority."""
         return "\n".join(
             f"{'  ' * depth}{sub.node.label()}  priority {sub.priority:,.1f}"
-            for depth, sub in self.root.walk()
+            for depth, sub in self.walk()
         )
 
 
@@ -183,13 +183,14 @@ def node_priority(node: Node, stats: GraphStats) -> float:
 
 
 def build_join_tree(query: Query, stats: GraphStats, mode: str = "mixed") -> JoinTree:
-    """Group and score the query's patterns and hang them into a Join Tree."""
+    """Group and score the query's patterns and hang them into a Join
+    Tree; return its root."""
     query.validate()
     nodes = group_patterns(query, mode)
     prio = {id(n): node_priority(n, stats) for n in nodes}
     walk = connected_order(nodes, key=lambda n: -prio[id(n)])
     top = min(reversed(walk), key=lambda n: prio[id(n)])
-    root = Subtree(top, prio[id(top)])
+    root = JoinTree(top, prio[id(top)])
     rest = sorted((n for n in walk if n is not top), key=lambda n: -prio[id(n)])
     placed = [root]  # breadth-first
     done = 0
@@ -202,7 +203,7 @@ def build_join_tree(query: Query, stats: GraphStats, mode: str = "mixed") -> Joi
             kids = [n for n in rest if parent.node.variables() & n.variables()]
         for n in kids:
             rest.remove(n)
-            placed.append(Subtree(n, prio[id(n)]))
+            placed.append(JoinTree(n, prio[id(n)]))
             parent.children.append(placed[-1])
         parent.children.sort(key=lambda t: -t.priority)
-    return JoinTree(root)
+    return root

@@ -24,8 +24,8 @@ therefore needs no shuffle on either side, and a PT node joined on its
 subject shuffles only the other side. The tables live in Parquet under
 ``path`` (``vp/pred=p<i>/`` and ``pt/``, one file per predicate and
 bucket), so the store's size on disk is measurable; their catalog names
-are unique to the store, and the executor's SQL statements read them by
-name.
+are unique to the store, and the executor's SQL statements, the one
+reader of the tables, read them by name.
 """
 from __future__ import annotations
 
@@ -48,13 +48,6 @@ class Relation:
 
     view: str
     where: tuple[tuple[str, str], ...]
-
-    def rows(self, spark: SparkSession) -> DataFrame:
-        """The relation's ``(s, o)`` rows."""
-        df = spark.table(self.view)
-        for col, value in self.where:
-            df = df.filter(F.col(col) == value)
-        return df.select("s", "o")
 
 
 def unique_name(prefix: str) -> str:
@@ -79,7 +72,7 @@ def literal_map(mapping: dict[str, str]) -> Column:
 def build_vp(triples: DataFrame, stats: GraphStats) -> DataFrame:
     """The VP dataset: ``(pred, s, o)``, ``pred`` the dictionary name of ``p``.
 
-    Kept as a single DataFrame; :meth:`ProstStore.vp_table` selects one
+    Kept as a single DataFrame; :func:`vp_relation` selects one
     predicate, which under Parquet partitioning is a partition-pruned
     read of exactly that predicate's table. The S2RDF and SPARQLGX
     baselines partition their stores by the same ``pred`` column.
@@ -88,9 +81,10 @@ def build_vp(triples: DataFrame, stats: GraphStats) -> DataFrame:
 
 
 def vp_relation(view: str, stats: GraphStats, predicate: str) -> Relation:
-    """The ``(s, o)`` table of *predicate* in the VP dataset *view*; no
-    rows if the graph lacks it (no partition is named ``""``)."""
-    return Relation(view, (("pred", stats.columns.get(predicate, "")),))
+    """The ``(s, o)`` table of *predicate* in the VP dataset *view*;
+    KeyError if the graph lacks it (the executor answers such a pattern
+    with no rows before it asks for a table)."""
+    return Relation(view, (("pred", stats.column(predicate)),))
 
 
 def build_property_table(triples: DataFrame, stats: GraphStats) -> DataFrame:
@@ -204,16 +198,9 @@ class ProstStore:
         )
 
     # ------------------------------------------------------------------
-    def vp_table(self, predicate: str) -> DataFrame:
-        """The ``(s, o)`` VP table of *predicate* (empty if unused)."""
-        return vp_relation(self.vp_name, self.stats, predicate).rows(self.spark)
-
     @property
     def property_table(self) -> DataFrame:
         return self.spark.table(self.pt_name)
-
-    def is_multi_valued(self, predicate: str) -> bool:
-        return predicate in self.multi_valued
 
     def triples_back(self) -> DataFrame:
         """Reconstruct the triple table from VP (test/round-trip helper)."""

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.executor import execute
+from repro.core.executor import execute_tree
 from repro.core.jointree import JoinTree, build_join_tree
 from repro.core.loader import ProstStore
 from repro.sparql.algebra import Query
@@ -29,11 +29,11 @@ class Prost:
         return cls(ProstStore.load(spark, triples, path=path))
 
     def plan(self, sparql: str | Query, mode: str = "mixed") -> JoinTree:
-        """The Join Tree PRoST would execute for *sparql*."""
+        """The Join Tree (its root) PRoST would execute for *sparql*."""
         query = parse(sparql) if isinstance(sparql, str) else sparql
         return build_join_tree(query, self.store.stats, mode=mode)
 
     def query(self, sparql: str | Query, mode: str = "mixed") -> DataFrame:
         """Answer a SPARQL query; columns are the projected variables."""
         query = parse(sparql) if isinstance(sparql, str) else sparql
-        return execute(self.store, query, mode=mode)
+        return execute_tree(self.store, self.plan(query, mode), query)

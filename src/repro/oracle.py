@@ -1,9 +1,12 @@
 """DuckDB correctness oracle.
 
-``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
-over ``tables`` and asserts the sorted rows match ``spark_df`` (the
-Spark result). This catches wrong results from a rewritten plan or a
-custom operator — "it ran" is not "it is correct".
+``assert_equivalent_pd(result_pd, sql, **tables)`` runs ``sql`` in
+DuckDB over ``tables`` and asserts that its rows are the rows of
+``result_pd``, as a bag: row order and column order do not matter, but
+a missing row, an extra copy of a row or a NULL in place of a value
+does. An engine that answers with a Spark DataFrame passes
+``df.toPandas()``. This catches wrong results from a rewritten plan or
+a custom operator — "it ran" is not "it is correct".
 
 ``tables`` may be Spark or pandas DataFrames; Spark inputs are
 collected via ``.toPandas()``. Alias every output column identically
@@ -19,9 +22,11 @@ from pyspark.sql import DataFrame
 def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     # Canonical column order first, then row order by those columns, so
     # two results that differ only in projection order compare equal.
+    # Every missing value (NaN or None) becomes None.
     pdf = pdf[sorted(pdf.columns)].reset_index(drop=True).copy()
     for c in pdf.select_dtypes(include=["float", "float64"]).columns:
         pdf[c] = pdf[c].round(6)
+    pdf = pdf.astype(object).where(pd.notna(pdf), None)
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 
@@ -35,25 +40,10 @@ def _expected(sql: str, tables: dict) -> pd.DataFrame:
         con.close()
 
 
-def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
-    expected = _expected(sql, tables)
-    got = spark_df.toPandas()
-    assert set(expected.columns) == set(got.columns), (
-        f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
-        "— alias every output column identically on both sides"
-    )
-    pd.testing.assert_frame_equal(
-        _canon(got), _canon(expected), check_dtype=False
-    )
-
-
 def assert_equivalent_pd(result_pd: pd.DataFrame, sql: str, **tables) -> None:
-    """Like :func:`assert_equivalent` for engines that return pandas
-    frames directly (the Rya baseline runs on the driver)."""
     expected = _expected(sql, tables)
     assert set(expected.columns) == set(result_pd.columns), (
-        f"column mismatch: {sorted(result_pd.columns)} vs {sorted(expected.columns)}"
+        f"column mismatch: {sorted(result_pd.columns)} vs {sorted(expected.columns)} "
+        "— alias every output column identically on both sides"
     )
-    got = result_pd.astype(object).where(pd.notna(result_pd), None)
-    exp = expected.astype(object).where(pd.notna(expected), None)
-    pd.testing.assert_frame_equal(_canon(got), _canon(exp), check_dtype=False)
+    pd.testing.assert_frame_equal(_canon(result_pd), _canon(expected), check_dtype=False)

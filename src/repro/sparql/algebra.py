@@ -19,7 +19,7 @@ class Variable:
 
     name: str
 
-    def __str__(self) -> str:  # pragma: no cover - repr convenience
+    def __str__(self) -> str:
         return f"?{self.name}"
 
 
@@ -29,7 +29,7 @@ class IRI:
 
     value: str
 
-    def __str__(self) -> str:  # pragma: no cover
+    def __str__(self) -> str:
         return self.value
 
 
@@ -39,7 +39,7 @@ class Literal:
 
     value: str
 
-    def __str__(self) -> str:  # pragma: no cover
+    def __str__(self) -> str:
         return f'"{self.value}"'
 
 
@@ -77,6 +77,18 @@ def connected_order(items: Sequence[T], key: Callable[[T], object]) -> list[T]:
         ordered.append(nxt)
         bound.update(nxt.variables())
     return ordered
+
+
+def most_bound_first(
+    patterns: Sequence[TriplePattern], extent: Callable[[str], int]
+) -> list[TriplePattern]:
+    """The join order of SPARQLGX and Rya: patterns with more constants
+    first, then the smaller ``extent(predicate)``, kept connected by
+    :func:`connected_order`."""
+    return connected_order(
+        patterns,
+        key=lambda tp: (-sum(map(is_const, (tp.s, tp.o))), extent(tp.predicate)),
+    )
 
 
 @dataclass(frozen=True)

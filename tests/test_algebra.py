@@ -11,6 +11,7 @@ from repro.sparql.algebra import (
     Variable,
     is_const,
     is_var,
+    most_bound_first,
 )
 
 V = Variable
@@ -114,3 +115,47 @@ class TestQuery:
 
     def test_distinct_flag(self):
         assert self.q(distinct=True).distinct
+
+
+class TestMostBoundFirst:
+    """The join order SPARQLGX and Rya share."""
+
+    EXTENT = {"p:big": 1000, "p:mid": 100, "p:small": 10}
+
+    def order(self, *patterns):
+        return [t.predicate for t in most_bound_first(patterns, self.EXTENT.__getitem__)]
+
+    def test_constants_first(self):
+        assert self.order(
+            tp(V("a"), I("p:small"), V("b")),
+            tp(V("a"), I("p:big"), L("x")),
+            tp(I("s:s"), I("p:mid"), L("y")),
+        ) == ["p:mid", "p:big", "p:small"]
+
+    def test_smaller_extent_first_among_equals(self):
+        assert self.order(
+            tp(V("a"), I("p:big"), V("b")),
+            tp(V("a"), I("p:small"), V("c")),
+            tp(V("a"), I("p:mid"), V("d")),
+        ) == ["p:small", "p:mid", "p:big"]
+
+    def test_every_pattern_after_the_first_shares_a_variable(self):
+        """After ``?a big "k"``, ``?c small ?d`` has the smallest extent,
+        but ``?a big ?b`` is the pattern connected to it."""
+        patterns = (
+            tp(V("c"), I("p:small"), V("d")),
+            tp(V("a"), I("p:big"), L("k")),
+            tp(V("b"), I("p:mid"), V("c")),
+            tp(V("a"), I("p:big"), V("b")),
+        )
+        ordered = most_bound_first(patterns, self.EXTENT.__getitem__)
+        assert [str(t) for t in ordered] == [
+            '?a p:big "k" .',
+            "?a p:big ?b .",
+            "?b p:mid ?c .",
+            "?c p:small ?d .",
+        ]
+        bound = set(ordered[0].variables())
+        for t in ordered[1:]:
+            assert bound & set(t.variables())
+            bound |= set(t.variables())

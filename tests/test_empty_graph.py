@@ -29,7 +29,7 @@ from repro.baselines.rya import RyaStore
 from repro.baselines.s2rdf import S2RDFStore
 from repro.baselines.sparqlgx import SparqlGXStore
 from repro.core.prost import Prost
-from repro.oracle import assert_equivalent, assert_equivalent_pd
+from repro.oracle import assert_equivalent_pd
 from repro.rdf.triples import to_spark
 from repro.sparql.parser import parse
 from repro.sparql.reference import bgp_to_sql
@@ -132,7 +132,7 @@ def test_graph_loads_and_matches_oracle(spark, tmp_path, graph, queries, spellin
         for name, run in spark_engines.items():
             out = run(query)
             assert out.dtypes == [(c, "string") for c in columns], name
-            assert_equivalent(out, reference, triples=graph)
+            assert_equivalent_pd(out.toPandas(), reference, triples=graph)
             if sparql in spellings:
                 rows[name, sparql] = sorted(map(tuple, out.collect()))
         out = rya.query(query)

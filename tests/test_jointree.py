@@ -1,6 +1,8 @@
 """Tests for Join Tree construction: grouping, priorities, ordering."""
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.core.executor import compile_statement
@@ -117,7 +119,7 @@ class TestTreeConstruction:
         first shares a variable with the inputs before it (the bundled
         queries are all connected)."""
         tree = build_join_tree(q(QUERIES[name]), graph_stats, "mixed")
-        for _depth, sub in tree.root.walk():
+        for _depth, sub in tree.walk():
             first, *rest = sub.join_order()
             seen = set(first.variables())
             for item in rest:
@@ -128,7 +130,7 @@ class TestTreeConstruction:
     def test_first_node_is_highest_priority(self, graph_stats, name):
         """Every join starts with its highest-priority input."""
         tree = build_join_tree(q(QUERIES[name]), graph_stats, "mixed")
-        for _depth, sub in tree.root.walk():
+        for _depth, sub in tree.walk():
             inputs = sub.join_order()
             assert inputs[0].priority == max(t.priority for t in inputs)
 
@@ -138,11 +140,11 @@ class TestTreeConstruction:
         literal node is never an ancestor of a free node, and the root's
         join reads it first."""
         tree = build_join_tree(q(QUERIES["L1"]), graph_stats, "mixed")
-        for _depth, sub in tree.root.walk():
+        for _depth, sub in tree.walk():
             if has_literal(sub.node):
                 assert all(has_literal(d.node) for _d, d in sub.walk())
-        assert not has_literal(tree.root.node)
-        assert has_literal(tree.root.join_order()[0].node)
+        assert not has_literal(tree.node)
+        assert has_literal(tree.join_order()[0].node)
 
     def test_node_labels_readable(self, graph_stats):
         tree = build_join_tree(q(QUERIES["F5"]), graph_stats, "mixed")
@@ -232,21 +234,21 @@ class TestTreeShape:
 
     def test_root_has_lowest_priority(self, planned):
         *_, tree = planned
-        assert tree.root.priority == min(sub.priority for _d, sub in tree.root.walk())
+        assert tree.priority == min(sub.priority for _d, sub in tree.walk())
 
     def test_children_share_a_variable_with_their_parent(self, planned):
         """A child that shares no variable with its parent is the top of
         another connected component, hung under the root."""
         *_, tree = planned
-        for _depth, sub in tree.root.walk():
+        for _depth, sub in tree.walk():
             for child in sub.children:
                 if sub.node.variables() & child.node.variables():
                     continue
                 inside = {id(d) for _d, d in child.walk()}
                 outside = set().union(
-                    *(d.node.variables() for _d, d in tree.root.walk() if id(d) not in inside)
+                    *(d.node.variables() for _d, d in tree.walk() if id(d) not in inside)
                 )
-                assert sub is tree.root and not child.variables() & outside
+                assert sub is tree and not child.variables() & outside
 
     def test_one_cross_join_per_extra_component(self, planned):
         """A connected query has no cross join, a disconnected one
@@ -262,11 +264,11 @@ class TestTreeShape:
         assert sorted(map(str, (tp for n in nodes for tp in n.patterns))) == sorted(
             map(str, query.patterns)
         )
-        assert nodes[-1] is tree.root.node
+        assert nodes[-1] is tree.node
 
     def test_children_in_descending_priority(self, planned):
         *_, tree = planned
-        for _depth, sub in tree.root.walk():
+        for _depth, sub in tree.walk():
             prios = [c.priority for c in sub.children]
             assert prios == sorted(prios, reverse=True)
 
@@ -278,22 +280,55 @@ def test_cycle_children_join_on_a_variable_their_parent_lacks(mode):
     are joined on it before the root joins them."""
     query = q(SHAPES["cycle"])
     tree = build_join_tree(query, TOY, mode)
-    a, b = tree.root.children
+    a, b = tree.children
     assert a.variables() & b.variables() == {"z"}
-    assert "z" not in tree.root.node.variables()
+    assert "z" not in tree.node.variables()
     assert "USING (`z`)" in toy_statement(query, tree)
 
 
 def test_render_indents_children_under_their_parent():
     mixed = build_join_tree(q(SHAPES["star_and_chain"]), TOY, "mixed")
     assert mixed.render().splitlines() == [
-        "VP[wsdbm:knows]  priority -50.0",
+        "VP[?d wsdbm:knows ?e]  priority -50.0",
         "  PT[?a;wsdbm:big,wsdbm:mid,wsdbm:small]  priority -10.0",
     ]
     vp = build_join_tree(q(SHAPES["star_and_chain"]), TOY, "vp")
     assert vp.render().splitlines() == [
-        "VP[wsdbm:big]  priority -1,000.0",
-        "  VP[wsdbm:small]  priority -10.0",
-        "    VP[wsdbm:knows]  priority -50.0",
-        "  VP[wsdbm:mid]  priority -100.0",
+        "VP[?a wsdbm:big ?b]  priority -1,000.0",
+        "  VP[?a wsdbm:small ?d]  priority -10.0",
+        "    VP[?d wsdbm:knows ?e]  priority -50.0",
+        "  VP[?a wsdbm:mid ?c]  priority -100.0",
     ]
+
+
+def test_render_tells_apart_patterns_of_one_predicate():
+    """A triangle over one predicate renders three distinct lines."""
+    query = q("SELECT * WHERE { ?x wsdbm:knows ?y . ?y wsdbm:knows ?z . ?z wsdbm:knows ?x . }")
+    lines = build_join_tree(query, TOY, "vp").render().splitlines()
+    assert sorted(line.split("  priority")[0].strip() for line in lines) == [
+        "VP[?x wsdbm:knows ?y]",
+        "VP[?y wsdbm:knows ?z]",
+        "VP[?z wsdbm:knows ?x]",
+    ]
+
+
+def top_level_joins(text: str) -> list[str]:
+    """The joins of *text* outside every parenthesised part, in order:
+    ``CROSS JOIN`` or ``JOIN``."""
+    depth, top = 0, []
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0 and ch != ")":
+            top.append(ch)
+    return re.findall(r"CROSS JOIN|JOIN", "".join(top))
+
+
+@pytest.mark.parametrize("name", ["two_components", "constant_patterns"])
+@pytest.mark.parametrize("mode", ["mixed", "vp"])
+def test_cross_joins_come_after_the_roots_component(name, mode):
+    """The root's own component is joined before another component
+    enters by a cross join, so no later join carries the product."""
+    query = q(SHAPES[name])
+    joins = top_level_joins(toy_statement(query, build_join_tree(query, TOY, mode)))
+    first = joins.index("CROSS JOIN")
+    assert joins[first:] == ["CROSS JOIN"] * (len(joins) - first)

@@ -7,12 +7,14 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.executor import executed_plan, plan_nodes
+from repro.core.executor import compile_node, executed_plan, plan_nodes
+from repro.core.jointree import VPNode
 from repro.core.loader import bucket_count
 from repro.core.prost import Prost
 from repro.core.stats import GraphStats, PredicateStats
 from repro.rdf.triples import to_spark
 from repro.rdf.watdiv import watdiv_pandas
+from repro.sparql.algebra import IRI, TriplePattern, Variable
 
 
 def column(prost: Prost, predicate: str) -> str:
@@ -20,16 +22,23 @@ def column(prost: Prost, predicate: str) -> str:
     return prost.store.stats.column(predicate)
 
 
+def vp_table(prost: Prost, predicate: str):
+    """The ``(s, o)`` rows of *predicate*'s VP table, read by the SQL a
+    VP node of a query runs."""
+    node = VPNode(TriplePattern(Variable("s"), IRI(predicate), Variable("o")))
+    return compile_node(prost.store, node)
+
+
 class TestVerticalPartitioning:
     def test_vp_table_per_predicate_counts(self, prost, triples_pd):
         for pred, expected in triples_pd.groupby("p").size().items():
-            assert prost.store.vp_table(pred).count() == expected
+            assert vp_table(prost, pred).count() == expected
 
     def test_vp_table_columns(self, prost):
-        assert prost.store.vp_table("wsdbm:likes").columns == ["s", "o"]
+        assert vp_table(prost, "wsdbm:likes").columns == ["s", "o"]
 
     def test_vp_table_contents(self, prost, triples_pd):
-        got = prost.store.vp_table("gn:parentCountry").toPandas()
+        got = vp_table(prost, "gn:parentCountry").toPandas()
         exp = triples_pd[triples_pd["p"] == "gn:parentCountry"][["s", "o"]]
         pd.testing.assert_frame_equal(
             got.sort_values(["s", "o"]).reset_index(drop=True),
@@ -37,7 +46,7 @@ class TestVerticalPartitioning:
         )
 
     def test_unknown_predicate_empty(self, prost):
-        assert prost.store.vp_table("nope:never").count() == 0
+        assert vp_table(prost, "nope:never").count() == 0
 
     def test_roundtrip_triples_back(self, prost, triples_pd):
         got = prost.store.triples_back().toPandas()
@@ -118,7 +127,7 @@ class TestPersistence:
         """The read-back tables hold exactly the input graph's rows."""
         store = prost.store
         for pred in ("wsdbm:likes", "rdf:type", "gr:includes"):
-            assert store.vp_table(pred).count() == (triples_pd["p"] == pred).sum()
+            assert vp_table(prost, pred).count() == (triples_pd["p"] == pred).sum()
         assert store.property_table.count() == triples_pd["s"].nunique()
 
     def test_subject_rows_in_one_file(self, prost, triples_pd):
@@ -134,7 +143,7 @@ class TestPersistence:
 
     def test_multi_valued_preserved_after_parquet(self, prost):
         store = prost.store
-        assert store.is_multi_valued("wsdbm:likes")
+        assert "wsdbm:likes" in store.multi_valued
         field = dict(store.property_table.dtypes)[column(prost, "wsdbm:likes")]
         assert field.startswith("array")
 
@@ -255,8 +264,8 @@ class TestStatsWiring:
         assert prost.store.stats.predicates() == sorted(triples_pd["p"].unique())
 
     def test_multi_valued_wired_from_stats(self, prost):
-        assert prost.store.is_multi_valued("wsdbm:friendOf")
-        assert not prost.store.is_multi_valued("wsdbm:userId")
+        assert "wsdbm:friendOf" in prost.store.multi_valued
+        assert "wsdbm:userId" not in prost.store.multi_valued
 
     def test_has_predicate(self, prost):
         assert "wsdbm:likes" in prost.store.stats

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.oracle import assert_equivalent
+from repro.oracle import assert_equivalent_pd
 from repro.sparql.parser import parse
 from repro.sparql.reference import bgp_to_sql
 from repro.sparql.watdiv_queries import QUERIES
@@ -15,12 +15,12 @@ class TestAgainstOracle:
     def test_mixed_strategy(self, prost, triples_pd, name):
         sparql = QUERIES[name]
         df = prost.query(sparql, mode="mixed")
-        assert_equivalent(df, bgp_to_sql(parse(sparql)), triples=triples_pd)
+        assert_equivalent_pd(df.toPandas(), bgp_to_sql(parse(sparql)), triples=triples_pd)
 
     def test_vp_only_strategy(self, prost, triples_pd, name):
         sparql = QUERIES[name]
         df = prost.query(sparql, mode="vp")
-        assert_equivalent(df, bgp_to_sql(parse(sparql)), triples=triples_pd)
+        assert_equivalent_pd(df.toPandas(), bgp_to_sql(parse(sparql)), triples=triples_pd)
 
 
 @pytest.mark.parametrize("name", sorted(QUERIES))
@@ -50,14 +50,14 @@ class TestAdHocQueries:
 
     def test_distinct(self, prost, triples_pd):
         sparql = "SELECT DISTINCT ?g WHERE { ?p wsdbm:hasGenre ?g . }"
-        assert_equivalent(
-            prost.query(sparql), bgp_to_sql(parse(sparql)), triples=triples_pd
+        assert_equivalent_pd(
+            prost.query(sparql).toPandas(), bgp_to_sql(parse(sparql)), triples=triples_pd
         )
 
     def test_star_projection(self, prost, triples_pd):
         sparql = "SELECT * WHERE { ?u wsdbm:likes ?p . ?p og:title ?t . }"
-        assert_equivalent(
-            prost.query(sparql), bgp_to_sql(parse(sparql)), triples=triples_pd
+        assert_equivalent_pd(
+            prost.query(sparql).toPandas(), bgp_to_sql(parse(sparql)), triples=triples_pd
         )
 
     def test_unknown_predicate_yields_empty(self, prost):
@@ -67,36 +67,36 @@ class TestAdHocQueries:
         sparql = (
             "SELECT ?a ?l WHERE { wsdbm:User0 foaf:age ?a . wsdbm:User0 wsdbm:likes ?l . }"
         )
-        assert_equivalent(
-            prost.query(sparql), bgp_to_sql(parse(sparql)), triples=triples_pd
+        assert_equivalent_pd(
+            prost.query(sparql).toPandas(), bgp_to_sql(parse(sparql)), triples=triples_pd
         )
 
     def test_self_join_same_predicate(self, prost, triples_pd):
         sparql = "SELECT ?a ?b ?c WHERE { ?a wsdbm:follows ?b . ?b wsdbm:follows ?c . }"
-        assert_equivalent(
-            prost.query(sparql), bgp_to_sql(parse(sparql)), triples=triples_pd
+        assert_equivalent_pd(
+            prost.query(sparql).toPandas(), bgp_to_sql(parse(sparql)), triples=triples_pd
         )
 
     def test_two_multi_valued_same_star(self, prost, triples_pd):
         sparql = "SELECT ?u ?x ?y WHERE { ?u wsdbm:likes ?x . ?u og:tag ?y . }"
         # og:tag has Product/Genre subjects; likes has User subjects -> empty star
-        assert_equivalent(
-            prost.query(sparql), bgp_to_sql(parse(sparql)), triples=triples_pd
+        assert_equivalent_pd(
+            prost.query(sparql).toPandas(), bgp_to_sql(parse(sparql)), triples=triples_pd
         )
 
     def test_triangle_query(self, prost, triples_pd):
         sparql = (
             "SELECT ?a ?b WHERE { ?a wsdbm:friendOf ?b . ?b wsdbm:friendOf ?a . }"
         )
-        assert_equivalent(
-            prost.query(sparql), bgp_to_sql(parse(sparql)), triples=triples_pd
+        assert_equivalent_pd(
+            prost.query(sparql).toPandas(), bgp_to_sql(parse(sparql)), triples=triples_pd
         )
 
     def test_dot_right_after_prefixed_object(self, prost, triples_pd):
         sparql = "SELECT ?u WHERE { ?u wsdbm:likes wsdbm:Product0. }"
         df = prost.query(sparql)
         assert df.count() > 0
-        assert_equivalent(df, bgp_to_sql(parse(sparql)), triples=triples_pd)
+        assert_equivalent_pd(df.toPandas(), bgp_to_sql(parse(sparql)), triples=triples_pd)
 
     def test_variable_predicate_rejected(self, prost):
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.oracle import assert_equivalent, assert_equivalent_pd
+from repro.oracle import assert_equivalent_pd
 from repro.rdf.watdiv import PREDICATES
 from repro.sparql.algebra import IRI, Literal, Query, TriplePattern, Variable
 from repro.sparql.reference import bgp_to_sql
@@ -112,24 +112,24 @@ SPARK_SEEDS = list(range(10))
 @pytest.mark.parametrize("seed", SPARK_SEEDS)
 def test_prost_mixed_agrees_on_random_bgps(prost, triples_pd, seed):
     query = bounded_random_query(seed, triples_pd)
-    assert_equivalent(prost.query(query), bgp_to_sql(query), triples=triples_pd)
+    assert_equivalent_pd(prost.query(query).toPandas(), bgp_to_sql(query), triples=triples_pd)
 
 
 @pytest.mark.parametrize("seed", SPARK_SEEDS)
 def test_prost_vp_agrees_on_random_bgps(prost, triples_pd, seed):
     query = bounded_random_query(seed, triples_pd)
-    assert_equivalent(
-        prost.query(query, mode="vp"), bgp_to_sql(query), triples=triples_pd
+    assert_equivalent_pd(
+        prost.query(query, mode="vp").toPandas(), bgp_to_sql(query), triples=triples_pd
     )
 
 
 @pytest.mark.parametrize("seed", SPARK_SEEDS)
 def test_s2rdf_agrees_on_random_bgps(s2rdf, triples_pd, seed):
     query = bounded_random_query(seed, triples_pd)
-    assert_equivalent(s2rdf.query(query), bgp_to_sql(query), triples=triples_pd)
+    assert_equivalent_pd(s2rdf.query(query).toPandas(), bgp_to_sql(query), triples=triples_pd)
 
 
 @pytest.mark.parametrize("seed", SPARK_SEEDS[:5])
 def test_sparqlgx_agrees_on_random_bgps(sparqlgx, triples_pd, seed):
     query = bounded_random_query(seed, triples_pd)
-    assert_equivalent(sparqlgx.query(query), bgp_to_sql(query), triples=triples_pd)
+    assert_equivalent_pd(sparqlgx.query(query).toPandas(), bgp_to_sql(query), triples=triples_pd)

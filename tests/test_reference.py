@@ -1,10 +1,11 @@
-"""Tests for the BGP → SQL reference semantics (the oracle's input)."""
+"""Tests for the BGP → SQL reference semantics and the oracle's comparator."""
 from __future__ import annotations
 
 import duckdb
 import pandas as pd
 import pytest
 
+from repro.oracle import assert_equivalent_pd
 from repro.sparql.parser import parse
 from repro.sparql.reference import bgp_to_sql
 
@@ -115,3 +116,51 @@ class TestSemantics:
     def test_empty_on_unknown_predicate(self):
         df = run(bgp_to_sql(parse("SELECT ?s WHERE { ?s <nope> ?o . }")))
         assert len(df) == 0
+
+
+class TestOracleComparator:
+    """``oracle.assert_equivalent_pd`` compares bags of rows: it rejects a
+    missing row, an extra copy of a row, a NULL in place of a value and
+    other columns, and ignores row and column order."""
+
+    SQL = "SELECT s, o FROM triples WHERE p = 'likes'"
+    ROWS = [("u1", "p1"), ("u1", "p2"), ("u2", "p1")]
+
+    def check(self, rows, columns=("s", "o")):
+        assert_equivalent_pd(pd.DataFrame(rows, columns=list(columns)), self.SQL, triples=TINY)
+
+    def test_accepts_the_same_rows(self):
+        self.check(self.ROWS)
+
+    def test_accepts_another_row_order(self):
+        self.check(self.ROWS[::-1])
+
+    def test_accepts_another_column_order(self):
+        self.check([(o, s) for s, o in self.ROWS], columns=("o", "s"))
+
+    def test_rejects_a_missing_row(self):
+        with pytest.raises(AssertionError):
+            self.check(self.ROWS[:-1])
+
+    def test_rejects_an_extra_copy_of_a_row(self):
+        with pytest.raises(AssertionError):
+            self.check(self.ROWS + self.ROWS[:1])
+
+    def test_rejects_null_for_a_value(self):
+        with pytest.raises(AssertionError):
+            self.check([*self.ROWS[:-1], ("u2", None)])
+
+    def test_rejects_a_value_for_null(self):
+        with pytest.raises(AssertionError):
+            assert_equivalent_pd(
+                pd.DataFrame({"o": ["p1"]}), "SELECT CAST(NULL AS VARCHAR) AS o", triples=TINY
+            )
+
+    def test_accepts_null_for_null(self):
+        assert_equivalent_pd(
+            pd.DataFrame({"o": [None]}), "SELECT CAST(NULL AS VARCHAR) AS o", triples=TINY
+        )
+
+    def test_rejects_a_column_mismatch(self):
+        with pytest.raises(AssertionError, match="column mismatch"):
+            self.check(self.ROWS, columns=("s", "x"))

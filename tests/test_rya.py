@@ -7,6 +7,7 @@ import pytest
 from repro.baselines.rya import _SEP, INDEX_ORDERS, RyaStore, choose_index
 from repro.oracle import assert_equivalent_pd
 from repro.rdf.triples import to_spark, unescaper
+from repro.sparql.algebra import most_bound_first
 from repro.sparql.parser import parse
 from repro.sparql.reference import bgp_to_sql
 from repro.sparql.watdiv_queries import QUERIES
@@ -27,6 +28,11 @@ TINY = pd.DataFrame(
 
 def load(spark, graph: pd.DataFrame, path) -> RyaStore:
     return RyaStore.load(spark, to_spark(spark, graph), path=str(path))
+
+
+def extents(store: RyaStore) -> dict[str, int]:
+    """Every predicate of the store's graph with its extent."""
+    return {key[0]: store.extent(key[0]) for key in store.indexes["pos"].keys}
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +167,7 @@ class TestTinyQueries:
 
     def test_join_order_most_bound_first(self, tiny):
         q = parse("SELECT ?u ?t WHERE { ?u <likes> ?p . ?p <title> <t1> . }")
-        ordered = tiny._order(q)
+        ordered = most_bound_first(q.patterns, tiny.extent)
         assert ordered[0].predicate == "title"
 
 
@@ -212,7 +218,7 @@ class TestPersistence:
 
     def test_key_files_equal_in_memory_keys(self, tiny, tiny_path):
         """The key files hold the same keys the query indexes do."""
-        assert tiny.pred_counts == {"likes": 3, "age": 2, "title": 1}
+        assert extents(tiny) == {"likes": 3, "age": 2, "title": 1}
         self._assert_key_files_hold_keys(tiny, tiny_path)
 
     def test_duplicate_triple_stored_once(self, spark, tmp_path):
@@ -226,10 +232,13 @@ class TestPersistence:
         for name in INDEX_ORDERS:
             assert len(self._key_lines(tmp_path / name)) == 2
         self._assert_key_files_hold_keys(store, tmp_path)
-        assert store.pred_counts == {"likes": 2}
+        assert extents(store) == {"likes": 2}
 
     def test_pred_counts(self, tiny):
-        assert tiny.pred_counts == {"likes": 3, "age": 2, "title": 1}
+        """A predicate's extent is its POS-index range: 0 for one the
+        graph lacks, including a prefix of a present one."""
+        assert extents(tiny) == {"likes": 3, "age": 2, "title": 1}
+        assert tiny.extent("nope") == tiny.extent("like") == 0
 
 
 class TestNetworkModel:

@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from repro.oracle import assert_equivalent
+from repro.oracle import assert_equivalent_pd
+from repro.sparql.algebra import is_const, most_bound_first
 from repro.sparql.parser import parse
 from repro.sparql.reference import bgp_to_sql
 from repro.sparql.watdiv_queries import QUERIES
@@ -38,12 +39,13 @@ class TestStorage:
 
 
 class TestOrdering:
+    """SPARQLGX orders by :func:`most_bound_first` over its statistics'
+    triple counts."""
+
     def test_most_constrained_first_then_connected(self, sparqlgx):
         q = parse(QUERIES["L2"])
-        ordered = sparqlgx._order(q)
-        n_consts = [
-            sum(1 for t in (tp.s, tp.o) if not hasattr(t, "name")) for tp in ordered
-        ]
+        ordered = most_bound_first(q.patterns, sparqlgx.stats.n_triples)
+        n_consts = [sum(map(is_const, (tp.s, tp.o))) for tp in ordered]
         assert n_consts[0] == max(n_consts)  # most-constrained pattern leads
         bound = set(ordered[0].variables())
         for tp in ordered[1:]:  # and the chain stays connected
@@ -54,15 +56,15 @@ class TestOrdering:
         q = parse(
             "SELECT ?a ?b ?c WHERE { ?a wsdbm:friendOf ?b . ?a gn:parentCountry ?c . }"
         )
-        ordered = sparqlgx._order(q)
+        ordered = most_bound_first(q.patterns, sparqlgx.stats.n_triples)
         assert ordered[0].predicate == "gn:parentCountry"
 
 
 @pytest.mark.parametrize("name", sorted(QUERIES))
 def test_queries_match_oracle(sparqlgx, triples_pd, name):
     sparql = QUERIES[name]
-    assert_equivalent(
-        sparqlgx.query(sparql), bgp_to_sql(parse(sparql)), triples=triples_pd
+    assert_equivalent_pd(
+        sparqlgx.query(sparql).toPandas(), bgp_to_sql(parse(sparql)), triples=triples_pd
     )
 
 
@@ -72,8 +74,8 @@ class TestEdgeCases:
 
     def test_distinct(self, sparqlgx, triples_pd):
         sparql = "SELECT DISTINCT ?u WHERE { ?u wsdbm:likes ?p . }"
-        assert_equivalent(
-            sparqlgx.query(sparql), bgp_to_sql(parse(sparql)), triples=triples_pd
+        assert_equivalent_pd(
+            sparqlgx.query(sparql).toPandas(), bgp_to_sql(parse(sparql)), triples=triples_pd
         )
 
     def test_ground_pattern_true_keeps_bindings(self, sparqlgx, triples_pd):
@@ -82,8 +84,8 @@ class TestEdgeCases:
             f"SELECT ?a ?b WHERE {{ <{known['s']}> gn:parentCountry <{known['o']}> . "
             "?a wsdbm:gender ?b . }"
         )
-        assert_equivalent(
-            sparqlgx.query(sparql), bgp_to_sql(parse(sparql)), triples=triples_pd
+        assert_equivalent_pd(
+            sparqlgx.query(sparql).toPandas(), bgp_to_sql(parse(sparql)), triples=triples_pd
         )
 
     def test_ground_pattern_false_empties_result(self, sparqlgx):
@@ -95,6 +97,6 @@ class TestEdgeCases:
 
     def test_repeated_variable(self, sparqlgx, triples_pd):
         sparql = "SELECT ?x WHERE { ?x wsdbm:friendOf ?x . }"
-        assert_equivalent(
-            sparqlgx.query(sparql), bgp_to_sql(parse(sparql)), triples=triples_pd
+        assert_equivalent_pd(
+            sparqlgx.query(sparql).toPandas(), bgp_to_sql(parse(sparql)), triples=triples_pd
         )

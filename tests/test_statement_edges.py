@@ -16,7 +16,7 @@ from pyspark.sql import functions as F
 from repro.baselines.s2rdf import S2RDFStore
 from repro.core.executor import compile_tree
 from repro.core.prost import Prost
-from repro.oracle import assert_equivalent
+from repro.oracle import assert_equivalent_pd
 from repro.rdf.triples import to_spark
 from repro.sparql.algebra import IRI, Literal, Query, TriplePattern, Variable, is_const
 from repro.sparql.reference import SOLUTION_COLUMN, bgp_to_sql
@@ -156,7 +156,7 @@ def check(engines, graph, engine: str, query: Query) -> None:
         # one row per solution, each the empty mapping
         assert got.columns == []
         got = got.select(F.lit(1).alias(SOLUTION_COLUMN))
-    assert_equivalent(got, bgp_to_sql(query), triples=graph)
+    assert_equivalent_pd(got.toPandas(), bgp_to_sql(query), triples=graph)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
